@@ -76,7 +76,7 @@ class StepLog:
     event: str = ""
 
 
-def _check_b(b_val: float, b_min: float, x: StateVector, t: float | None = None):
+def _check_b(b_val: float, b_min: float, x: StateVector | np.ndarray, t: float | None = None):
     if abs(b_val) < b_min or b_val == 0.0:
         raise ControllabilityFault(
             f"|b|={abs(b_val):.3g} below guard {b_min:.3g}", state=x, t=t
@@ -84,8 +84,9 @@ def _check_b(b_val: float, b_min: float, x: StateVector, t: float | None = None)
 
 
 def _linearizing_u(ctrl, xt, xd_n, f_val, b_val, d_hat):
-    """u = (-f + xd_n - sum_i k_i * err_i - d_hat) / b, clamped to u_limit."""
-    feedback = float(np.dot(ctrl.gains.gains, xt.values))
+    """u = (-f + xd_n - sum_i k_i * err_i - d_hat) / b, clamped to u_limit;
+    xt is the raw tracking-error array."""
+    feedback = float(np.dot(ctrl.gains.gains, xt))
     u = (-f_val + xd_n - feedback - d_hat) / b_val
     saturated = False
     if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
@@ -106,7 +107,7 @@ def fl_control(
     """Baseline linearizing law: cancel f, inject the reference derivative,
     and damp the tracking error with the pole-placement gains."""
     _check_b(b_val, b_min, x)
-    u, _ = _linearizing_u(ctrl, tracking_error(x, x_d), xd_n, f_val, b_val, 0.0)
+    u, _ = _linearizing_u(ctrl, tracking_error(x, x_d).values, xd_n, f_val, b_val, 0.0)
     return u
 
 
@@ -128,32 +129,41 @@ def nn_fl_control(
     xt = tracking_error(x, x_d)
     s = filtered_error(xt, lam)
     d_hat = float(np.dot(ctrl.network.weights, activations(ctrl.network, s)))
-    u, _ = _linearizing_u(ctrl, xt, xd_n, f_val, b_val, d_hat)
+    u, _ = _linearizing_u(ctrl, xt.values, xd_n, f_val, b_val, d_hat)
     return u, s, d_hat
 
 
 def control_step(
     ctrl: ControllerState,
     plant_nominal: PlantModel,
-    x: StateVector,
-    x_d: StateVector,
+    x: StateVector | np.ndarray,
+    x_d: StateVector | np.ndarray,
     xd_n: float,
     t: float,
     dt_ctrl: float,
 ) -> tuple[float, ControllerState, StepLog]:
     """One sampled control update: evaluate the nominal model, compute u for
     the current mode, then (compensated mode) take one adaptation step with
-    the same s. Returns the input, the successor controller, and the log."""
+    the same s. Returns the input, the successor controller, and the log.
+
+    x and x_d are StateVectors or, from the simulation loop, raw arrays of
+    the same length; raw arrays are trusted to be finite."""
     if not (dt_ctrl > 0.0):
         raise ValueError("dt_ctrl must be > 0")
+    state = x
+    if isinstance(x, StateVector):
+        x = x.values
+    if isinstance(x_d, StateVector):
+        x_d = x_d.values
+    if x.shape != x_d.shape:
+        raise ValueError(f"state order mismatch: {x.size} vs {x_d.size}")
     f_val = plant_nominal.f_eval(x, t)
     b_val = plant_nominal.b_eval(x, t)
-    _check_b(b_val, plant_nominal.b_min, x, t)
+    _check_b(b_val, plant_nominal.b_min, state, t)
 
-    lam = ctrl.gains.lam
     events = []
-    xt = tracking_error(x, x_d)
-    s = filtered_error(xt, lam)
+    xt = x - x_d
+    s = float(np.dot(ctrl.gains.filter_weights, xt))
     if ctrl.mode == COMPENSATED:
         net = ctrl.network
         phi = activations(net, s)

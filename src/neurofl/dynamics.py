@@ -10,7 +10,7 @@ compensator sees as input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,11 +100,15 @@ class CharPolynomial:
 @dataclass(frozen=True, eq=False)
 class GainVector:
     """Feedback gains gains[i] = C(n, i) * lam^(n-i) pairing with the i-th
-    error derivative, so the error characteristic polynomial is (p + lam)^n."""
+    error derivative, so the error characteristic polynomial is (p + lam)^n.
+
+    filter_weights holds the combined-error weights C(n-1, i) * lam^(n-1-i)
+    for the same lam, computed once here rather than at every sample."""
 
     lam: float
     order: int
     gains: np.ndarray
+    filter_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -117,6 +121,9 @@ class GainVector:
         if not np.all(arr > 0.0):
             raise ValueError("all gains must be strictly positive")
         object.__setattr__(self, "gains", arr)
+        weights = _filter_weights(self.order, self.lam)
+        weights.setflags(write=False)
+        object.__setattr__(self, "filter_weights", weights)
 
     def char_polynomial(self) -> CharPolynomial:
         """p^n + gains[n-1] p^(n-1) + ... + gains[0], descending storage."""
@@ -182,6 +189,13 @@ def tracking_error(x: StateVector, x_d: StateVector) -> StateVector:
     return StateVector(x.values - x_d.values)
 
 
+def _filter_weights(n: int, lam: float) -> np.ndarray:
+    """Weights C(n-1, i) * lam^(n-1-i) of the combined error, i = 0..n-1."""
+    return np.array(
+        [binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)], dtype=float
+    )
+
+
 def filtered_error(xt: StateVector, lam: float) -> float:
     """Scalar combined error s = (d/dt + lam)^(n-1) applied to the error vector.
 
@@ -189,6 +203,4 @@ def filtered_error(xt: StateVector, lam: float) -> float:
     """
     if not (lam > 0.0):
         raise ValueError("lambda must be > 0")
-    n = xt.order
-    weights = [binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)]
-    return float(np.dot(weights, xt.values))
+    return float(np.dot(_filter_weights(xt.order, lam), xt.values))

@@ -6,12 +6,12 @@ trajectory metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controller import ControllerState, control_step
-from .dynamics import StateVector, binomial_coefficient
+from .dynamics import StateVector, _filter_weights
 from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, disturbance_sample
 from .rbf import RbfNetwork
@@ -45,12 +45,15 @@ class ReferenceSpec:
 
     Sinusoidal components are (amplitude, omega, phase) triples with omega in
     rad/s; the k-th derivative of A sin(w t + p) is A w^k sin(w t + p + k pi/2).
+    The coefficients A w^k and shifts k pi/2 up to k = order are computed
+    once, at construction.
     """
 
     kind: str
     order: int
     level: float = 0.0
     components: tuple = ()
+    _terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in REFERENCE_KINDS:
@@ -59,6 +62,30 @@ class ReferenceSpec:
             raise ValueError("reference order must be >= 1")
         if self.kind != "constant" and len(self.components) == 0:
             raise ValueError("sinusoidal reference needs at least one component")
+        if not math.isfinite(self.level):
+            raise ValueError("reference level must be finite")
+        object.__setattr__(self, "_terms", _sinusoid_terms(self.components, self.order))
+
+
+def _sinusoid_terms(components, order: int) -> tuple:
+    """(omega, phase, ((A w^k, k pi/2) for k = 0..order)) per component.
+
+    Raises ValueError unless every phase and, for every k, the sum of |A w^k|
+    over the components are finite. That sum bounds |x_d^(k)(t)|, and a
+    non-finite omega makes it non-finite for k = 1.
+    """
+    try:
+        terms = tuple(
+            (omega, phase, tuple((amplitude * omega**k, k * math.pi / 2.0) for k in range(order + 1)))
+            for amplitude, omega, phase in components
+        )
+        bounds = [sum(abs(coefs[k][0]) for _, _, coefs in terms) for k in range(order + 1)]
+    except OverflowError:
+        bounds = [math.inf]
+    phases = [phase for _, _, phase in components]
+    if not all(math.isfinite(v) for v in bounds + phases):
+        raise ValueError(f"reference components must give finite derivatives up to order {order}")
+    return terms
 
 
 def constant_reference(level: float, order: int) -> ReferenceSpec:
@@ -77,16 +104,18 @@ def sum_of_sinusoids_reference(components, order: int) -> ReferenceSpec:
 
 
 def _reference_values(spec: ReferenceSpec, t: float) -> tuple[np.ndarray, float]:
+    """Raw reference state [x_d, ..., x_d^(n-1)] and x_d^(n) at t >= 0."""
     n = spec.order
     if spec.kind == "constant":
         values = np.zeros(n)
         values[0] = spec.level
         return values, 0.0
-    derivs = np.zeros(n + 1)
-    for amplitude, omega, phase in spec.components:
-        for k in range(n + 1):
-            derivs[k] += amplitude * omega**k * math.sin(omega * t + phase + k * math.pi / 2.0)
-    return derivs[:n], float(derivs[n])
+    derivs = [0.0] * (n + 1)
+    for omega, phase, coefs in spec._terms:
+        angle = omega * t + phase
+        for k, (coef, shift) in enumerate(coefs):
+            derivs[k] += coef * math.sin(angle + shift)
+    return np.array(derivs[:n]), float(derivs[n])
 
 
 def reference_at(spec: ReferenceSpec, t: float) -> tuple[StateVector, float]:
@@ -106,7 +135,7 @@ def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     k3 = deriv(y + (0.5 * dt) * k2, t + 0.5 * dt)
     k4 = deriv(y + dt * k3, t + dt)
     out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
     return out
 
@@ -181,7 +210,7 @@ def integrate_interval(
     h = dt / substeps
     for j in range(substeps):
         y = rk4_step(deriv, y, t0 + j * h, h)
-    if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
+    if np.abs(y).max() > DIVERGENCE_LIMIT:
         raise DivergenceFault(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t0 + dt:.6g}")
     return y
 
@@ -226,11 +255,13 @@ def run_closed_loop(
     count = steps + 1
 
     if x0 is None:
-        y = reference_at(ref, 0.0)[0].values.copy()
+        y = _reference_values(ref, 0.0)[0]
     else:
         y = np.asarray(x0, dtype=float).copy()
         if y.shape != (n,):
             raise ValueError(f"x0 must have {n} entries")
+        if not np.isfinite(y).all():
+            raise ValueError("state values must all be finite")
 
     t_arr = np.empty(count)
     x_arr = np.empty((count, n))
@@ -245,22 +276,24 @@ def run_closed_loop(
     if record_weights and ctrl.network is not None:
         w_hist = np.empty((count, ctrl.network.neuron_count))
 
+    # From here on y and x_d are raw arrays: y is finite (x0 was checked and
+    # rk4_step rejects non-finite states) and reference values are finite by
+    # construction of the ReferenceSpec.
     terminal = None
     recorded = 0
     for k in range(count):
         t_k = k * dt_ctrl
-        x_d, xd_n = reference_at(ref, t_k)
-        x_sv = StateVector(y)
+        x_d, xd_n = _reference_values(ref, t_k)
 
         t_arr[k] = t_k
         x_arr[k] = y
-        xd_arr[k] = x_d.values
+        xd_arr[k] = x_d
         dtrue_arr[k] = disturbance_sample(dist, t_k)
         if w_hist is not None:
             w_hist[k] = ctrl.network.weights
 
         try:
-            u, ctrl, log = control_step(ctrl, nominal, x_sv, x_d, xd_n, t_k, dt_ctrl)
+            u, ctrl, log = control_step(ctrl, nominal, y, x_d, xd_n, t_k, dt_ctrl)
         except ControllabilityFault:
             u_arr[k] = np.nan
             s_arr[k] = np.nan
@@ -349,10 +382,7 @@ def ideal_disturbance_plant(
         raise ValueError("reference order must equal plant order")
     if not (lam > 0.0):
         raise ValueError("lambda must be > 0")
-    n = base.order
-    filt = np.array(
-        [binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)]
-    )
+    filt = _filter_weights(base.order, lam)
     centers = target.centers
     two_sq_widths = 2.0 * target.widths**2
     w_target = target.weights

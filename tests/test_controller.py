@@ -228,6 +228,36 @@ class TestControlStep:
         with pytest.raises(ValueError):
             control_step(ctrl, plant, x, x, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mode", [BASELINE, COMPENSATED])
+    def test_raw_arrays_match_state_vectors(self, mode):
+        plant = pendulum_plant(c=0.2)
+        ctrl = ControllerState(
+            gains=binomial_gains(2, 3.0), mode=mode, network=default_network(7, 1.0, 10.0), u_limit=5.0
+        )
+        x, x_d = np.array([0.4, -0.3]), np.array([0.1, 0.2])
+        u_sv, ctrl_sv, log_sv = control_step(ctrl, plant, StateVector(x), StateVector(x_d), 0.7, 0.1, 1e-3)
+        u_raw, ctrl_raw, log_raw = control_step(ctrl, plant, x, x_d, 0.7, 0.1, 1e-3)
+        assert (u_raw, log_raw) == (u_sv, log_sv)
+        if mode == COMPENSATED:
+            assert np.array_equal(ctrl_raw.network.weights, ctrl_sv.network.weights)
+
+    def test_state_order_mismatch_rejected(self):
+        plant = pendulum_plant()
+        with pytest.raises(ValueError, match="order mismatch"):
+            control_step(baseline_ctrl(), plant, StateVector([0.0, 0.0]), StateVector([0.0]), 0.0, 0.0, 1e-3)
+
+    def test_fault_carries_the_state_passed_in(self):
+        from neurofl.plants import PlantModel
+
+        weak = PlantModel(
+            order=2, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 0.01, b_min=0.5, name="weak"
+        )
+        x = StateVector([0.3, 0.0])
+        with pytest.raises(ControllabilityFault) as exc:
+            control_step(baseline_ctrl(), weak, x, StateVector([0.0, 0.0]), 0.0, 0.25, 1e-3)
+        assert exc.value.state is x
+        assert exc.value.t == 0.25
+
 
 class TestClosedLoopResiduals:
     """Reconstruct the error dynamics from logged trajectories by central

@@ -207,6 +207,16 @@ class TestFilteredError:
         with pytest.raises(ValueError):
             filtered_error(StateVector([1.0, 0.5]), 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("lam", [0.3, 2.0, 7.5])
+    def test_gain_filter_weights_match_binomial_expansion(self, n, lam):
+        gains = binomial_gains(n, lam)
+        expected = [pascal_row(n - 1)[i] * lam ** (n - 1 - i) for i in range(n)]
+        assert gains.filter_weights.tolist() == expected
+        assert not gains.filter_weights.flags.writeable
+        xt = StateVector(np.linspace(-1.3, 0.7, n))
+        assert filtered_error(xt, lam) == float(np.dot(gains.filter_weights, xt.values))
+
     @given(
         st.lists(finite_floats, min_size=2, max_size=4),
         st.lists(finite_floats, min_size=2, max_size=4),

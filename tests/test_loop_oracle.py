@@ -1,0 +1,217 @@
+"""run_closed_loop against a per-step oracle built from the public API.
+
+The oracle is the straightforward sampled loop: reference_at ->
+StateVector(y) -> control_step -> integrate_interval, one value object per
+sample. The simulator's inner loop works on raw arrays and per-run constants
+instead; every recorded signal must agree with the oracle bit for bit.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from neurofl.controller import COMPENSATED, ControllerState, control_step
+from neurofl.dynamics import StateVector, binomial_gains
+from neurofl.errors import ControllabilityFault, DivergenceFault
+from neurofl.plants import (
+    PlantModel,
+    constant_disturbance,
+    disturbance_sample,
+    no_disturbance,
+    noise_disturbance,
+    sinusoid_disturbance,
+)
+from neurofl.rbf import default_network
+from neurofl.simulation import (
+    EVENT_CONTROLLABILITY,
+    EVENT_DIVERGENCE,
+    constant_reference,
+    integrate_interval,
+    reference_at,
+    run_closed_loop,
+    sinusoid_reference,
+    sum_of_sinusoids_reference,
+)
+
+FIELDS = ("t", "x", "x_d", "u", "s", "d_hat", "d_true", "w_norm")
+
+
+def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0=None):
+    """Per-sample records and the terminal event of the sampled loop."""
+    steps = int(math.floor(T / dt_ctrl + 1e-9))
+    y = reference_at(ref, 0.0)[0].values.copy() if x0 is None else np.array(x0, dtype=float)
+    rec = {name: [] for name in (*FIELDS, "event", "weights")}
+    terminal = None
+    for k in range(steps + 1):
+        t_k = k * dt_ctrl
+        x_d, xd_n = reference_at(ref, t_k)
+        x = StateVector(y)
+        rec["t"].append(t_k)
+        rec["x"].append(y)
+        rec["x_d"].append(x_d.values)
+        rec["d_true"].append(disturbance_sample(dist, t_k))
+        if ctrl.network is not None:
+            rec["weights"].append(ctrl.network.weights)
+        try:
+            u, ctrl, log = control_step(ctrl, nominal, x, x_d, xd_n, t_k, dt_ctrl)
+        except ControllabilityFault:
+            for name in ("u", "s", "d_hat", "w_norm"):
+                rec[name].append(np.nan)
+            rec["event"].append(EVENT_CONTROLLABILITY)
+            terminal = EVENT_CONTROLLABILITY
+            break
+        for name in ("u", "s", "d_hat", "w_norm", "event"):
+            rec[name].append(getattr(log, name))
+        if k == steps:
+            break
+        try:
+            y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, dist)
+        except (ControllabilityFault, DivergenceFault) as exc:
+            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
+            rec["event"][-1] = terminal if rec["event"][-1] == "" else f"{rec['event'][-1]};{terminal}"
+            break
+    return rec, terminal
+
+
+def assert_matches_oracle(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0=None):
+    traj = run_closed_loop(
+        truth, nominal, ctrl, ref, dist, ctrl.gains.lam, T, dt_ctrl, substeps, x0=x0, record_weights=True
+    )
+    rec, terminal = oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0=x0)
+    for name in FIELDS:
+        assert np.array_equal(getattr(traj, name), np.array(rec[name]), equal_nan=True), name
+    assert traj.event == rec["event"]
+    assert traj.terminal_event == terminal
+    if ctrl.network is None:
+        assert traj.weights is None
+    else:
+        assert np.array_equal(traj.weights, np.array(rec["weights"]))
+    return traj
+
+
+def order_plant(order):
+    """Nonlinear, time-varying companion-form plants of order 1, 2 and 3."""
+    if order == 1:
+        f = lambda x, t: -0.8 * x[0] + 0.3 * math.sin(x[0]) + 0.1 * math.cos(2.0 * t)
+        b = lambda x, t: 1.5 + 0.2 * math.sin(x[0])
+    elif order == 2:
+        f = lambda x, t: -1.3 * math.sin(x[0]) - 0.2 * x[1] + 0.5 * x[0] ** 3
+        b = lambda x, t: 2.0 + 0.5 * math.cos(x[0] + t)
+    else:
+        f = lambda x, t: -x[0] - 0.4 * x[1] - 0.2 * x[2] ** 3 + 0.1 * math.sin(t)
+        b = lambda x, t: 1.0 + 0.25 * math.tanh(x[1])
+    return PlantModel(order=order, f_eval=f, b_eval=b, b_min=0.1, name=f"order{order}")
+
+
+def reference(kind, order):
+    if kind == "constant":
+        return constant_reference(0.4, order)
+    if kind == "sinusoid":
+        return sinusoid_reference(0.7, 1.3, 0.2, order)
+    return sum_of_sinusoids_reference([(0.5, 0.9, 0.1), (0.2, 3.1, 2.0)], order)
+
+
+DISTURBANCES = {
+    "none": no_disturbance,
+    "constant": lambda: constant_disturbance(0.3),
+    "sinusoid": lambda: sinusoid_disturbance(0.4, 1.1, 0.3),
+    "band-limited-noise": lambda: noise_disturbance(0.5, 3.0, seed=11, sample_dt=1e-2),
+}
+
+
+def controller(order, mode, lam=2.0, u_limit=None, weight_cap=None):
+    net = replace(default_network(9, 0.8, 40.0), leakage=0.05, weight_cap=weight_cap)
+    return ControllerState(
+        gains=binomial_gains(order, lam),
+        mode=mode,
+        network=net if mode == COMPENSATED else None,
+        u_limit=u_limit,
+    )
+
+
+@pytest.mark.parametrize("dist_kind", sorted(DISTURBANCES))
+@pytest.mark.parametrize("ref_kind", ["constant", "sinusoid", "sum-of-sinusoids"])
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_matches_oracle(order, mode, ref_kind, dist_kind):
+    plant = order_plant(order)
+    substeps = 1 + order % 3
+    x0 = None if ref_kind == "sinusoid" else [0.3] * order
+    traj = assert_matches_oracle(
+        plant, plant, controller(order, mode), reference(ref_kind, order),
+        DISTURBANCES[dist_kind](), 0.3, 1e-2, substeps, x0=x0,
+    )
+    assert traj.terminal_event is None
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+def test_matches_oracle_when_saturating(mode):
+    plant = order_plant(2)
+    traj = assert_matches_oracle(
+        plant, plant, controller(2, mode, lam=4.0, u_limit=0.5), reference("sinusoid", 2),
+        sinusoid_disturbance(0.4, 1.1), 0.5, 1e-2, 2, x0=[1.0, -0.5],
+    )
+    assert "saturation" in traj.event
+
+
+def test_matches_oracle_when_weight_cap_trips():
+    plant = order_plant(2)
+    traj = assert_matches_oracle(
+        plant, plant, controller(2, COMPENSATED, weight_cap=1e-3), reference("constant", 2),
+        constant_disturbance(0.3), 0.5, 1e-2, 1, x0=[0.6, 0.0],
+    )
+    assert "weight_cap" in traj.event
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+@pytest.mark.parametrize("fading_truth", [True, False], ids=["in-integration", "in-control-law"])
+def test_matches_oracle_through_controllability_fault(mode, fading_truth):
+    # b fades below the guard at t = 1.25: inside an RK4 interval when the
+    # truth plant fades, at a control sample when only the nominal model does
+    fading = PlantModel(
+        order=2, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 1.0 - 0.4 * t, b_min=0.5, name="fading"
+    )
+    truth = fading if fading_truth else order_plant(2)
+    traj = assert_matches_oracle(
+        truth, fading, controller(2, mode), reference("sinusoid", 2), no_disturbance(), 3.0, 1e-2, 1,
+        x0=[0.1, 0.0],
+    )
+    assert traj.terminal_event == "controllability_fault"
+    assert np.isnan(traj.u[-1]) != fading_truth
+
+
+def test_matches_oracle_through_divergence():
+    truth = PlantModel(
+        order=2,
+        f_eval=lambda x, t: 50.0 * x[0] ** 3 + 5.0,
+        b_eval=lambda x, t: 1.0,
+        b_min=0.5,
+        name="unstable",
+    )
+    traj = assert_matches_oracle(
+        truth, order_plant(2), controller(2, COMPENSATED, lam=0.5), reference("constant", 2),
+        no_disturbance(), 10.0, 1e-2, 1, x0=[1.0, 0.0],
+    )
+    assert traj.terminal_event == "divergence"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_rejected(bad):
+    plant = order_plant(2)
+    with pytest.raises(ValueError, match="finite"):
+        run_closed_loop(
+            plant, plant, controller(2, "baseline"), reference("constant", 2), no_disturbance(),
+            2.0, 0.1, 1e-2, 1, x0=[0.0, bad],
+        )
+
+
+def test_state_vector_x0_accepted():
+    plant = order_plant(2)
+    ctrl = controller(2, COMPENSATED)
+    args = (plant, plant, ctrl, reference("sinusoid", 2), no_disturbance(), 2.0, 0.2, 1e-2, 1)
+    a = run_closed_loop(*args, x0=StateVector([0.2, 0.1]))
+    b = run_closed_loop(*args, x0=[0.2, 0.1])
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.u, b.u)

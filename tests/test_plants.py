@@ -190,6 +190,21 @@ class TestDisturbances:
         assert early_a == early_b
         assert disturbance_sample(b, 30.0) == late
 
+    @pytest.mark.parametrize("seed", [0, 9, 123])
+    def test_noise_matches_first_order_filter_bitwise(self, seed):
+        # the seeded uniform drive through level += beta * (drive - level),
+        # one numpy scalar at a time, then clamped to the bound
+        spec = noise_disturbance(0.8, cutoff_hz=3.0, seed=seed, sample_dt=1e-3, bound=0.3)
+        drive = np.random.default_rng(seed).uniform(-0.8, 0.8, size=4096)
+        beta = 1.0 - math.exp(-2.0 * math.pi * 3.0 * 1e-3)
+        level = 0.0
+        expected = []
+        for i in range(drive.size):
+            level += beta * (drive[i] - level)
+            expected.append(min(max(level, -0.3), 0.3))
+        got = [disturbance_sample(spec, k * 1e-3) for k in range(drive.size)]
+        assert got == expected
+
     def test_noise_holds_between_grid_points(self):
         spec = noise_disturbance(1.0, cutoff_hz=4.0, seed=5, sample_dt=0.01)
         assert disturbance_sample(spec, 0.020) == disturbance_sample(spec, 0.0299)

@@ -88,6 +88,16 @@ class TestActivations:
             for i in range(net.neuron_count):
                 assert got[i] == gaussian_basis(s, net.centers[i], net.widths[i])
 
+    def test_dense_sweep_matches_scalar_basis_bitwise(self):
+        # 61 neurons on [-1, 1]; s over [-3, 3] plus a cluster around 0
+        net = default_network(61, 1.0, 5.0)
+        near_zero = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, *np.linspace(-1e-9, 1e-9, 201)]
+        sweep = [*np.linspace(-3.0, 3.0, 10_001).tolist(), *near_zero]
+        centers, widths = net.centers.tolist(), net.widths.tolist()
+        for s in sweep:
+            expected = [gaussian_basis(s, mu, sigma) for mu, sigma in zip(centers, widths)]
+            assert activations(net, s).tolist() == expected, s
+
 
 class TestNetworkOutput:
     def test_zero_weights_give_zero(self):

@@ -123,6 +123,34 @@ class TestReferenceAt:
         with pytest.raises(ValueError):
             sum_of_sinusoids_reference([], 2)
 
+    def test_non_finite_values_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            constant_reference(math.nan, 2)
+        with pytest.raises(ValueError):
+            sinusoid_reference(1.0, 1.0, math.inf, 2)
+        # finite entries whose higher derivatives overflow
+        with pytest.raises(ValueError):
+            sinusoid_reference(1e300, 1e5, 0.0, 3)
+        with pytest.raises(ValueError):
+            sinusoid_reference(1.0, 1e200, 0.0, 2)
+        with pytest.raises(ValueError):
+            sum_of_sinusoids_reference([(1e308, 1.0, 0.0), (1e308, 1.0, 0.0)], 1)
+
+    def test_precomputed_terms_match_direct_formula_bitwise(self):
+        # x_d^(k)(t) = sum over components of A w^k sin(w t + p + k pi/2),
+        # summed in component order starting from 0.0
+        comps = [(0.5, 0.9, 0.1), (0.2, 3.1, 2.0), (1.3, 0.37, -1.1)]
+        n = 3
+        spec = sum_of_sinusoids_reference(comps, n)
+        for t in np.linspace(0.0, 40.0, 2001).tolist():
+            expected = [0.0] * (n + 1)
+            for amplitude, omega, phase in comps:
+                for k in range(n + 1):
+                    expected[k] += amplitude * omega**k * math.sin(omega * t + phase + k * math.pi / 2.0)
+            x_d, xd_n = reference_at(spec, t)
+            assert x_d.values.tolist() == expected[:n]
+            assert xd_n == expected[n]
+
 
 class TestRunClosedLoop:
     def test_zero_everything_stays_zero(self):
