@@ -29,6 +29,7 @@ from .plants import (
 )
 from .rbf import default_network
 from .simulation import (
+    DIVERGENCE_LIMIT,
     ReferenceSpec,
     constant_reference,
     sinusoid_reference,
@@ -337,6 +338,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dt_ctrl = _require_positive(
         _get_number(sim_section, "dt_ctrl", "simulation", default=1e-3), "dt_ctrl", "simulation"
     )
+    # the loop runs floor(T/dt_ctrl + 1e-9) intervals, so a remainder would be cut off
+    if T / dt_ctrl - math.floor(T / dt_ctrl + 1e-9) > 1e-9:
+        raise ConfigError(f"simulation.T: must be a whole number of dt_ctrl ({dt_ctrl:g}), got {T:g}")
     substeps = sim_section.get("substeps", 1)
     if not isinstance(substeps, int) or isinstance(substeps, bool) or substeps < 1:
         raise ConfigError("simulation.substeps: must be an integer >= 1")
@@ -347,6 +351,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             for v in x0
         ):
             raise ConfigError("simulation.x0: must be a list of finite numbers")
+        if any(abs(v) > DIVERGENCE_LIMIT for v in x0):
+            raise ConfigError(f"simulation.x0: entries must not exceed {DIVERGENCE_LIMIT:.0e} in magnitude")
         x0 = tuple(float(v) for v in x0)
 
     out_section = raw.get("output")

@@ -213,16 +213,34 @@ def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     return out
 
 
+def _sampler(spec: DisturbanceSpec, t_end: float):
+    """d(t) for one run that reads the disturbance on [0, t_end].
+
+    The kind is resolved here, once per run. Noise is generated for exactly
+    the grid samples up to t_end, as a list of Python floats; reading past
+    t_end raises IndexError rather than holding the last sample.
+    """
+    kind = spec.kind
+    if kind == "none":
+        return lambda t: 0.0
+    if kind == "constant":
+        offset = spec.offset
+        return lambda t: offset
+    if kind == "sinusoid":
+        # (2 pi f) t evaluates as the product 2.0 * pi * f * t does
+        amplitude, omega, phase = spec.amplitude, 2.0 * math.pi * spec.frequency_hz, spec.phase
+        return lambda t: amplitude * math.sin(omega * t + phase)
+    sample_dt = spec.sample_dt
+    series = _noise_series(spec, math.floor(t_end / sample_dt + 1e-9) + 1).tolist()
+    return lambda t: series[math.floor(t / sample_dt + 1e-9)]
+
+
 def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:
     """Disturbance value at time t; deterministic in (spec, t)."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "constant":
-        return spec.offset
-    if spec.kind == "sinusoid":
-        return spec.amplitude * math.sin(2.0 * math.pi * spec.frequency_hz * t + spec.phase)
+    if spec.kind != "band-limited-noise":
+        return _sampler(spec, t)(t)
     # band-limited noise: zero-order hold on the filtered grid sequence
     k = int(math.floor(t / spec.sample_dt + 1e-9))
     series = spec._cache.get("series")

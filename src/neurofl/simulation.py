@@ -13,7 +13,7 @@ import numpy as np
 from .controller import ControllerState, control_step
 from .dynamics import StateVector, _filter_weights
 from .errors import ControllabilityFault, DivergenceFault
-from .plants import DisturbanceSpec, PlantModel, disturbance_sample
+from .plants import DisturbanceSpec, PlantModel, _sampler, disturbance_sample
 from .rbf import RbfNetwork
 
 __all__ = [
@@ -126,18 +126,32 @@ def reference_at(spec: ReferenceSpec, t: float) -> tuple[StateVector, float]:
     return StateVector(values), xd_n
 
 
-def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta update of y over [t, t+dt]."""
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
+def _rk4(deriv, y: list, t: float, dt: float) -> list:
+    """Classical fourth-order Runge-Kutta update of y over [t, t+dt], on lists
+    of Python floats: deriv(y, t) takes and returns one. Element for element
+    these are the operations numpy performs on arrays, so the bits match."""
+    half = 0.5 * dt
     k1 = deriv(y, t)
-    k2 = deriv(y + (0.5 * dt) * k1, t + 0.5 * dt)
-    k3 = deriv(y + (0.5 * dt) * k2, t + 0.5 * dt)
-    k4 = deriv(y + dt * k3, t + dt)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+    k2 = deriv([a + half * b for a, b in zip(y, k1)], t + half)
+    k3 = deriv([a + half * b for a, b in zip(y, k2)], t + half)
+    k4 = deriv([a + dt * b for a, b in zip(y, k3)], t + dt)
+    sixth = dt / 6.0
+    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
     return out
+
+
+def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta update of y over [t, t+dt]; deriv
+    maps an array y and a time to an array dy/dt."""
+    if not (dt > 0.0):
+        raise ValueError("dt must be > 0")
+
+    def deriv_list(v, tau):
+        return np.asarray(deriv(np.array(v), tau), dtype=float).tolist()
+
+    return np.array(_rk4(deriv_list, np.asarray(y, dtype=float).tolist(), t, dt))
 
 
 @dataclass
@@ -172,9 +186,9 @@ class Metrics:
     bounded: bool
 
 
-def _plant_deriv(plant: PlantModel, u: float, dist: DisturbanceSpec):
-    """First-order form of x^(n) = f + b*u + d with u held constant."""
-    n = plant.order
+def _plant_deriv(plant: PlantModel, u: float, d):
+    """First-order form of x^(n) = f + b*u + d(t) with u held constant, on
+    lists of Python floats."""
     f_eval = plant.f_eval
     b_eval = plant.b_eval
     b_min = plant.b_min
@@ -184,12 +198,11 @@ def _plant_deriv(plant: PlantModel, u: float, dist: DisturbanceSpec):
         if abs(b) < b_min:
             raise ControllabilityFault(
                 f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
-                state=y,
+                state=np.array(y),
                 t=tau,
             )
-        out = np.empty(n)
-        out[: n - 1] = y[1:]
-        out[n - 1] = f_eval(y, tau) + b * u + disturbance_sample(dist, tau)
+        out = y[1:]
+        out.append(f_eval(y, tau) + b * u + d(tau))
         return out
 
     return deriv
@@ -202,17 +215,28 @@ def integrate_interval(
     t0: float,
     dt: float,
     substeps: int,
-    dist: DisturbanceSpec,
+    dist,
 ) -> np.ndarray:
     """Advance the truth plant over one control interval with u held constant;
-    the disturbance is evaluated at the true substep times."""
-    deriv = _plant_deriv(truth, u, dist)
+    the disturbance is evaluated at the true substep times. `dist` is a
+    DisturbanceSpec or, from run_closed_loop, the run's sampler d(t)."""
+    if isinstance(dist, DisturbanceSpec):
+        spec = dist
+        dist = lambda t: disturbance_sample(spec, t)
+    # float(u): u computed from array elements is a numpy scalar, which would
+    # carry numpy scalar arithmetic into every stage
+    deriv = _plant_deriv(truth, float(u), dist)
     h = dt / substeps
-    for j in range(substeps):
-        y = rk4_step(deriv, y, t0 + j * h, h)
-    if np.abs(y).max() > DIVERGENCE_LIMIT:
+    y = y.tolist()
+    try:
+        for j in range(substeps):
+            y = _rk4(deriv, y, t0 + j * h, h)
+    except OverflowError as exc:
+        # Python floats raise where numpy scalars overflow to inf
+        raise DivergenceFault(f"state overflowed in the RK4 step at t={t0 + j * h:.6g}") from exc
+    if max(map(abs, y)) > DIVERGENCE_LIMIT:
         raise DivergenceFault(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t0 + dt:.6g}")
-    return y
+    return np.array(y)
 
 
 def run_closed_loop(
@@ -262,6 +286,8 @@ def run_closed_loop(
             raise ValueError(f"x0 must have {n} entries")
         if not np.isfinite(y).all():
             raise ValueError("state values must all be finite")
+        if np.abs(y).max() > DIVERGENCE_LIMIT:
+            raise ValueError(f"x0 magnitude must not exceed the divergence limit {DIVERGENCE_LIMIT:.0e}")
 
     t_arr = np.empty(count)
     x_arr = np.empty((count, n))
@@ -276,8 +302,13 @@ def run_closed_loop(
     if record_weights and ctrl.network is not None:
         w_hist = np.empty((count, ctrl.network.neuron_count))
 
+    # The disturbance is read at the samples and at the RK4 stage times, the
+    # last of which ends the final interval.
+    h = dt_ctrl / substeps
+    d = _sampler(dist, max(steps * dt_ctrl, (steps - 1) * dt_ctrl + (substeps - 1) * h + h))
+
     # From here on y and x_d are raw arrays: y is finite (x0 was checked and
-    # rk4_step rejects non-finite states) and reference values are finite by
+    # _rk4 rejects non-finite states) and reference values are finite by
     # construction of the ReferenceSpec.
     terminal = None
     recorded = 0
@@ -288,19 +319,19 @@ def run_closed_loop(
         t_arr[k] = t_k
         x_arr[k] = y
         xd_arr[k] = x_d
-        dtrue_arr[k] = disturbance_sample(dist, t_k)
+        dtrue_arr[k] = d(t_k)
         if w_hist is not None:
             w_hist[k] = ctrl.network.weights
 
         try:
             u, ctrl, log = control_step(ctrl, nominal, y, x_d, xd_n, t_k, dt_ctrl)
-        except ControllabilityFault:
+        except (ControllabilityFault, DivergenceFault) as exc:
             u_arr[k] = np.nan
             s_arr[k] = np.nan
             dhat_arr[k] = np.nan
             wnorm_arr[k] = np.nan
-            events[k] = EVENT_CONTROLLABILITY
-            terminal = EVENT_CONTROLLABILITY
+            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
+            events[k] = terminal
             recorded = k + 1
             break
 
@@ -314,7 +345,7 @@ def run_closed_loop(
         if k == steps:
             break
         try:
-            y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, dist)
+            y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, d)
         except ControllabilityFault:
             events[k] = _join_event(events[k], EVENT_CONTROLLABILITY)
             terminal = EVENT_CONTROLLABILITY

@@ -93,6 +93,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"substeps"):
             config_from_dict(minimal_config(simulation={"substeps": 0}))
 
+    def test_T_must_be_whole_number_of_dt_ctrl(self):
+        # T = 1.0 at dt_ctrl = 0.3 would end the run at t = 0.9
+        with pytest.raises(ConfigError, match=r"simulation\.T: must be a whole number of dt_ctrl"):
+            config_from_dict(minimal_config(simulation={"T": 1.0, "dt_ctrl": 0.3}))
+        with pytest.raises(ConfigError, match=r"simulation\.T"):
+            config_from_dict(minimal_config(simulation={"T": 0.5, "dt_ctrl": 1.0}))
+        # quotients off an integer by rounding only pass: 0.08/1e-3 = 80.00000000000001
+        for T, dt in ((0.08, 1e-3), (0.3, 1e-2), (2.0, 0.01), (1.0, 0.1), (0.9, 0.3)):
+            assert config_from_dict(minimal_config(simulation={"T": T, "dt_ctrl": dt})).T == T
+
+    def test_x0_beyond_divergence_limit_rejected(self):
+        with pytest.raises(ConfigError, match=r"simulation\.x0: entries must not exceed 1e\+09"):
+            config_from_dict(minimal_config(simulation={"x0": [1e307, 1e307]}))
+        with pytest.raises(ConfigError, match=r"simulation\.x0"):
+            config_from_dict(minimal_config(simulation={"x0": [0.0, -1.5e9]}))
+        assert config_from_dict(minimal_config(simulation={"x0": [1e9, -1e9]})).x0 == (1e9, -1e9)
+
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(minimal_config(seed=1.5))

@@ -1,9 +1,13 @@
 """run_closed_loop against a per-step oracle built from the public API.
 
 The oracle is the straightforward sampled loop: reference_at ->
-StateVector(y) -> control_step -> integrate_interval, one value object per
-sample. The simulator's inner loop works on raw arrays and per-run constants
-instead; every recorded signal must agree with the oracle bit for bit.
+StateVector(y) -> control_step -> an array RK4 interval, one value object per
+sample, with the disturbance read through disturbance_sample. The interval
+is a frozen copy of the array integrator the simulator used before its RK4
+stages ran on Python floats, so the simulator's own kernel is never its own
+judge. The simulator's inner loop works on raw arrays, float lists, per-run
+constants and a per-run disturbance sampler instead; every recorded signal
+must agree with the oracle bit for bit.
 """
 
 import math
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from neurofl.controller import COMPENSATED, ControllerState, control_step
-from neurofl.dynamics import StateVector, binomial_gains
+from neurofl.dynamics import GainVector, StateVector, binomial_gains
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
@@ -25,10 +29,10 @@ from neurofl.plants import (
 )
 from neurofl.rbf import default_network
 from neurofl.simulation import (
+    DIVERGENCE_LIMIT,
     EVENT_CONTROLLABILITY,
     EVENT_DIVERGENCE,
     constant_reference,
-    integrate_interval,
     reference_at,
     run_closed_loop,
     sinusoid_reference,
@@ -36,6 +40,39 @@ from neurofl.simulation import (
 )
 
 FIELDS = ("t", "x", "x_d", "u", "s", "d_hat", "d_true", "w_norm")
+
+
+def frozen_rk4_step(deriv, y, t, dt):
+    """Classical RK4 on arrays, as the simulator computed it on arrays."""
+    k1 = deriv(y, t)
+    k2 = deriv(y + (0.5 * dt) * k1, t + 0.5 * dt)
+    k3 = deriv(y + (0.5 * dt) * k2, t + 0.5 * dt)
+    k4 = deriv(y + dt * k3, t + dt)
+    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
+    return out
+
+
+def frozen_integrate_interval(truth, y, u, t0, dt, substeps, dist):
+    """One control interval with u held, on arrays, d from disturbance_sample."""
+    n = truth.order
+
+    def deriv(y, tau):
+        b = truth.b_eval(y, tau)
+        if abs(b) < truth.b_min:
+            raise ControllabilityFault("b below guard during integration", state=y, t=tau)
+        out = np.empty(n)
+        out[: n - 1] = y[1:]
+        out[n - 1] = truth.f_eval(y, tau) + b * u + disturbance_sample(dist, tau)
+        return out
+
+    h = dt / substeps
+    for j in range(substeps):
+        y = frozen_rk4_step(deriv, y, t0 + j * h, h)
+    if np.abs(y).max() > DIVERGENCE_LIMIT:
+        raise DivergenceFault("state magnitude exceeded the divergence limit")
+    return y
 
 
 def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0=None):
@@ -56,18 +93,18 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
             rec["weights"].append(ctrl.network.weights)
         try:
             u, ctrl, log = control_step(ctrl, nominal, x, x_d, xd_n, t_k, dt_ctrl)
-        except ControllabilityFault:
+        except (ControllabilityFault, DivergenceFault) as exc:
             for name in ("u", "s", "d_hat", "w_norm"):
                 rec[name].append(np.nan)
-            rec["event"].append(EVENT_CONTROLLABILITY)
-            terminal = EVENT_CONTROLLABILITY
+            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
+            rec["event"].append(terminal)
             break
         for name in ("u", "s", "d_hat", "w_norm", "event"):
             rec[name].append(getattr(log, name))
         if k == steps:
             break
         try:
-            y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, dist)
+            y = frozen_integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, dist)
         except (ControllabilityFault, DivergenceFault) as exc:
             terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
             rec["event"][-1] = terminal if rec["event"][-1] == "" else f"{rec['event'][-1]};{terminal}"
@@ -147,6 +184,23 @@ def test_matches_oracle(order, mode, ref_kind, dist_kind):
 
 
 @pytest.mark.parametrize("mode", ["baseline", "compensated"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("T, dt_ctrl", [(0.25, 1e-2), (0.1, 1e-3)], ids=["coarse-control", "fine-control"])
+def test_matches_oracle_on_its_own_noise_grid(T, dt_ctrl, order, mode):
+    # the noise grid (3e-3) is neither the control grid nor a multiple of it,
+    # and the horizon ends partway through a noise sample
+    plant = order_plant(order)
+    sample_dt = 3e-3
+    assert T / sample_dt - math.floor(T / sample_dt) > 0.1
+    traj = assert_matches_oracle(
+        plant, plant, controller(order, mode), reference("sum-of-sinusoids", order),
+        noise_disturbance(0.5, 20.0, seed=3, sample_dt=sample_dt), T, dt_ctrl, 3, x0=[0.2] * order,
+    )
+    assert traj.terminal_event is None
+    assert len(np.unique(traj.d_true)) > 10
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
 def test_matches_oracle_when_saturating(mode):
     plant = order_plant(2)
     traj = assert_matches_oracle(
@@ -195,6 +249,32 @@ def test_matches_oracle_through_divergence():
         no_disturbance(), 10.0, 1e-2, 1, x0=[1.0, 0.0],
     )
     assert traj.terminal_event == "divergence"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_matches_oracle_through_divergence_in_control_law():
+    # lambda = 1e308 makes the combined error s = lam*(x - x_d) + (x' - x_d')
+    # overflow to inf at t = 0, and the adaptation step faults on it
+    plant = order_plant(2)
+    gains = GainVector(lam=1e308, order=2, gains=np.array([1.0, 2.0]))
+    ctrl = ControllerState(gains=gains, mode=COMPENSATED, network=default_network(9, 0.8, 40.0))
+    traj = assert_matches_oracle(
+        plant, plant, ctrl, reference("constant", 2), no_disturbance(), 0.1, 1e-2, 1, x0=[2.4, 0.0],
+    )
+    assert traj.terminal_event == EVENT_DIVERGENCE
+    assert traj.event == [EVENT_DIVERGENCE]
+    assert np.isnan(traj.u[0]) and np.isnan(traj.s[0]) and np.isnan(traj.w_norm[0])
+    np.testing.assert_array_equal(traj.x, [[2.4, 0.0]])
+
+
+@pytest.mark.parametrize("x0", [[1e307, 1e307], [0.0, -1.0000001e9]])
+def test_x0_beyond_divergence_limit_rejected(x0):
+    plant = order_plant(2)
+    with pytest.raises(ValueError, match="divergence limit"):
+        run_closed_loop(
+            plant, plant, controller(2, COMPENSATED, lam=20.0), reference("constant", 2), no_disturbance(),
+            20.0, 0.1, 1e-2, 1, x0=x0,
+        )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from neurofl.dynamics import StateVector
+from neurofl import plants
 from neurofl.errors import ControllabilityFault
 from neurofl.plants import (
     DisturbanceSpec,
+    _noise_series,
+    _sampler,
     PlantModel,
     constant_disturbance,
     disturbance_sample,
@@ -208,6 +211,40 @@ class TestDisturbances:
     def test_noise_holds_between_grid_points(self):
         spec = noise_disturbance(1.0, cutoff_hz=4.0, seed=5, sample_dt=0.01)
         assert disturbance_sample(spec, 0.020) == disturbance_sample(spec, 0.0299)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            no_disturbance(),
+            constant_disturbance(-0.7),
+            sinusoid_disturbance(0.9, 2.3, phase=0.4),
+            noise_disturbance(1.2, cutoff_hz=5.0, seed=21, sample_dt=3e-3),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_run_sampler_matches_disturbance_sample_bitwise(self, spec):
+        ts = [k * 2.5e-4 for k in range(4001)]
+        d = _sampler(spec, ts[-1])
+        got = [d(t) for t in ts]
+        assert got == [disturbance_sample(spec, t) for t in ts]
+        assert all(type(v) is float for v in got)
+
+    def test_run_sampler_generates_exactly_the_horizon(self, monkeypatch):
+        lengths = []
+
+        def recording(spec, count):
+            lengths.append(count)
+            return _noise_series(spec, count)
+
+        monkeypatch.setattr(plants, "_noise_series", recording)
+        spec = noise_disturbance(1.0, cutoff_hz=4.0, seed=5, sample_dt=3e-3)
+        d = _sampler(spec, 0.1)  # 0.1 s ends a third of the way into sample 33
+        assert lengths == [34]
+        assert d(0.1) == disturbance_sample(spec, 0.1)
+        with pytest.raises(IndexError):
+            d(0.102)
+        _sampler(noise_disturbance(1.0, cutoff_hz=4.0, sample_dt=1e-3), 0.08)
+        assert lengths[-1] == 81
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from neurofl import plants
 from neurofl.controller import ControllerState
 from neurofl.dynamics import StateVector, binomial_gains, filtered_error, tracking_error
 from neurofl.errors import DivergenceFault
 from neurofl.plants import (
     PlantModel,
+    duffing_plant,
     no_disturbance,
     noise_disturbance,
     pendulum_plant,
@@ -259,6 +261,35 @@ class TestRunClosedLoop:
                 plant, traj.x[k].copy(), traj.u[k], traj.t[k], traj.dt_ctrl, 4, dist
             )
             np.testing.assert_array_equal(replay, traj.x[k + 1])
+
+    @pytest.mark.parametrize("T, dt_ctrl, substeps, sample_dt, want", [
+        (0.08, 1e-3, 4, 1e-3, 81),
+        (5.0, 1e-3, 1, 1e-3, 5001),
+        (0.25, 1e-2, 3, 3e-3, 84),
+    ])
+    def test_noise_generated_for_exactly_the_horizon(self, monkeypatch, T, dt_ctrl, substeps, sample_dt, want):
+        lengths = []
+        real = plants._noise_series
+
+        def recording(spec, count):
+            lengths.append(count)
+            return real(spec, count)
+
+        monkeypatch.setattr(plants, "_noise_series", recording)
+        plant = pendulum_plant(c=0.1)
+        dist = noise_disturbance(0.3, 4.0, seed=2, sample_dt=sample_dt)
+        traj = run_closed_loop(
+            plant, plant, baseline_ctrl(), sinusoid_reference(0.5, 1.0, 0.0, 2), dist, 2.0, T, dt_ctrl, substeps,
+        )
+        assert lengths == [want]
+        assert traj.terminal_event is None
+
+    def test_float_overflow_in_the_plant_is_divergence(self):
+        # x**3 on a Python float raises OverflowError where a numpy scalar
+        # would overflow to inf; either way the interval ends in DivergenceFault
+        plant = duffing_plant(b2=50.0)
+        with pytest.raises(DivergenceFault, match="overflowed in the RK4 step at t=0.0025"):
+            integrate_interval(plant, np.array([1e9, 0.0]), 0.0, 0.0, 1e-2, 4, no_disturbance())
 
     def test_divergence_from_model_mismatch_ends_run(self):
         # truth has strong positive feedback the nominal model knows nothing
