@@ -4,7 +4,7 @@ and a configuration-driven experiment CLI."""
 
 __version__ = "0.1.0"
 
-from .controller import BASELINE, COMPENSATED, ControllerState, StepLog, control_step, fl_control, nn_fl_control
+from .controller import BASELINE, COMPENSATED, ControllerState, StepLog, control_step
 from .dynamics import (
     CharPolynomial,
     GainVector,
@@ -21,8 +21,8 @@ from .plants import (
     PlantModel,
     constant_disturbance,
     disturbance_sample,
+    disturbance_sampler,
     duffing_plant,
-    eval_dynamics,
     no_disturbance,
     noise_disturbance,
     pendulum_plant,

@@ -9,6 +9,7 @@ starts.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -17,36 +18,42 @@ from .controller import BASELINE, COMPENSATED, ControllerState
 from .dynamics import binomial_gains
 from .errors import ConfigError
 from .plants import (
+    DISTURBANCE_BUILDERS,
     DisturbanceSpec,
     PlantModel,
-    constant_disturbance,
     duffing_plant,
-    no_disturbance,
-    noise_disturbance,
     pendulum_plant,
-    sinusoid_disturbance,
     vanderpol_plant,
 )
 from .rbf import default_network
 from .simulation import (
     DIVERGENCE_LIMIT,
+    REFERENCE_BUILDERS,
     ReferenceSpec,
-    constant_reference,
-    sinusoid_reference,
-    sum_of_sinusoids_reference,
+    _control_steps,
 )
 
 __all__ = ["ExperimentConfig", "ExperimentSetup", "load_config", "config_from_dict", "build_experiment"]
 
-PLANT_DEFAULTS = {
-    "pendulum": {"m": 1.0, "l": 1.0, "c": 0.0, "g": 9.81},
-    "duffing": {"a": 0.2, "b1": 1.0, "b2": 1.0, "gain": 1.0},
-    "vanderpol": {"mu": 1.0, "gain": 1.0},
-}
 PLANT_BUILDERS = {
     "pendulum": pendulum_plant,
     "duffing": duffing_plant,
     "vanderpol": vanderpol_plant,
+}
+
+
+def _parameters(build, skip=()) -> dict:
+    """A builder's parameters mapped to their defaults (Parameter.empty if required)."""
+    return {name: p.default for name, p in inspect.signature(build).parameters.items() if name not in skip}
+
+
+# Read from the signatures once, at import: the benchmark's traced run
+# replaces PLANT_BUILDERS with (*args, **kwargs) wrappers afterwards.
+PLANT_DEFAULTS = {name: _parameters(build) for name, build in PLANT_BUILDERS.items()}
+DISTURBANCE_KEYS = {kind: _parameters(build) for kind, build in DISTURBANCE_BUILDERS.items()}
+# the reference's order is the plant's, not a key
+REFERENCE_KEYS = {
+    kind: tuple(_parameters(build, skip=("order",))) for kind, build in REFERENCE_BUILDERS.items()
 }
 
 
@@ -185,19 +192,14 @@ def _parse_disturbance(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("disturbance: must be an object")
     kind = section.get("kind", "none")
-    keys_by_kind = {
-        "none": ("kind",),
-        "constant": ("kind", "offset", "bound"),
-        "sinusoid": ("kind", "amplitude", "frequency_hz", "phase", "bound"),
-        "band-limited-noise": ("kind", "amplitude", "cutoff_hz", "seed", "sample_dt", "bound"),
-    }
-    if kind not in keys_by_kind:
+    if kind not in DISTURBANCE_KEYS:
         raise ConfigError(
-            f"disturbance.kind: must be one of {sorted(keys_by_kind)}, got {kind!r}"
+            f"disturbance.kind: must be one of {sorted(DISTURBANCE_KEYS)}, got {kind!r}"
         )
-    _reject_unknown(section, keys_by_kind[kind], "disturbance")
+    keys = DISTURBANCE_KEYS[kind]
+    _reject_unknown(section, ("kind", *keys), "disturbance")
     out = {"kind": kind}
-    for key in keys_by_kind[kind][1:]:
+    for key in keys:
         if key in section:
             if key == "seed":
                 if not isinstance(section[key], int) or isinstance(section[key], bool):
@@ -205,16 +207,9 @@ def _parse_disturbance(section) -> dict:
                 out[key] = section[key]
             else:
                 out[key] = _get_number(section, key, "disturbance", required=True)
-    if kind == "constant" and "offset" not in out:
-        raise ConfigError("disturbance.offset: required for kind 'constant'")
-    if kind == "sinusoid":
-        for req in ("amplitude", "frequency_hz"):
-            if req not in out:
-                raise ConfigError(f"disturbance.{req}: required for kind 'sinusoid'")
-    if kind == "band-limited-noise":
-        for req in ("amplitude", "cutoff_hz"):
-            if req not in out:
-                raise ConfigError(f"disturbance.{req}: required for kind 'band-limited-noise'")
+    for key, default in keys.items():
+        if default is inspect.Parameter.empty and key not in out:
+            raise ConfigError(f"disturbance.{key}: required for kind '{kind}'")
     return out
 
 
@@ -224,25 +219,16 @@ def _parse_reference(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("reference: must be an object")
     kind = section.get("kind", "constant")
-    keys_by_kind = {
-        "constant": ("kind", "level"),
-        "sinusoid": ("kind", "amplitude", "omega", "phase"),
-        "sum-of-sinusoids": ("kind", "components"),
-    }
-    if kind not in keys_by_kind:
+    if kind not in REFERENCE_KEYS:
         raise ConfigError(
-            f"reference.kind: must be one of {sorted(keys_by_kind)}, got {kind!r}"
+            f"reference.kind: must be one of {sorted(REFERENCE_KEYS)}, got {kind!r}"
         )
-    _reject_unknown(section, keys_by_kind[kind], "reference")
+    _reject_unknown(section, ("kind", *REFERENCE_KEYS[kind]), "reference")
     out = {"kind": kind}
     if kind == "constant":
         out["level"] = _get_number(section, "level", "reference", default=0.0)
     elif kind == "sinusoid":
-        out["amplitude"] = _get_number(section, "amplitude", "reference", required=True)
-        out["omega"] = _require_positive(
-            _get_number(section, "omega", "reference", required=True), "omega", "reference"
-        )
-        out["phase"] = _get_number(section, "phase", "reference", default=0.0)
+        out.update(_parse_sinusoid(section, "reference"))
     else:
         comps = section.get("components")
         if not isinstance(comps, list) or not comps:
@@ -252,18 +238,21 @@ def _parse_reference(section) -> dict:
             ctx = f"reference.components[{i}]"
             if not isinstance(comp, dict):
                 raise ConfigError(f"{ctx}: must be an object")
-            _reject_unknown(comp, ("amplitude", "omega", "phase"), ctx)
-            parsed.append(
-                {
-                    "amplitude": _get_number(comp, "amplitude", ctx, required=True),
-                    "omega": _require_positive(
-                        _get_number(comp, "omega", ctx, required=True), "omega", ctx
-                    ),
-                    "phase": _get_number(comp, "phase", ctx, default=0.0),
-                }
-            )
+            _reject_unknown(comp, REFERENCE_KEYS["sinusoid"], ctx)
+            parsed.append(_parse_sinusoid(comp, ctx))
         out["components"] = parsed
     return out
+
+
+def _parse_sinusoid(section: dict, context: str) -> dict:
+    """One sinusoid: a sinusoid reference or one component of a sum."""
+    return {
+        "amplitude": _get_number(section, "amplitude", context, required=True),
+        "omega": _require_positive(
+            _get_number(section, "omega", context, required=True), "omega", context
+        ),
+        "phase": _get_number(section, "phase", context, default=0.0),
+    }
 
 
 def _parse_network(section) -> NetworkConfig:
@@ -338,9 +327,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dt_ctrl = _require_positive(
         _get_number(sim_section, "dt_ctrl", "simulation", default=1e-3), "dt_ctrl", "simulation"
     )
-    # the loop runs floor(T/dt_ctrl + 1e-9) intervals, so a remainder would be cut off
-    if T / dt_ctrl - math.floor(T / dt_ctrl + 1e-9) > 1e-9:
-        raise ConfigError(f"simulation.T: must be a whole number of dt_ctrl ({dt_ctrl:g}), got {T:g}")
+    try:
+        _control_steps(T, dt_ctrl)
+    except ValueError as exc:
+        raise ConfigError(f"simulation.{exc}") from exc
     substeps = sim_section.get("substeps", 1)
     if not isinstance(substeps, int) or isinstance(substeps, bool) or substeps < 1:
         raise ConfigError("simulation.substeps: must be an integer >= 1")
@@ -411,35 +401,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_disturbance(spec: dict, default_seed: int, control_dt: float) -> DisturbanceSpec:
-    kind = spec["kind"]
-    if kind == "none":
-        return no_disturbance()
-    if kind == "constant":
-        return constant_disturbance(spec["offset"], bound=spec.get("bound"))
-    if kind == "sinusoid":
-        return sinusoid_disturbance(
-            spec["amplitude"],
-            spec["frequency_hz"],
-            phase=spec.get("phase", 0.0),
-            bound=spec.get("bound"),
-        )
-    # the noise grid follows the control rate unless pinned explicitly
-    return noise_disturbance(
-        spec["amplitude"],
-        spec["cutoff_hz"],
-        seed=spec.get("seed", default_seed),
-        sample_dt=spec.get("sample_dt", control_dt),
-        bound=spec.get("bound"),
-    )
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    if spec["kind"] == "band-limited-noise":
+        # the noise grid follows the control rate unless pinned explicitly
+        params.setdefault("seed", default_seed)
+        params.setdefault("sample_dt", control_dt)
+    return DISTURBANCE_BUILDERS[spec["kind"]](**params)
 
 
 def _build_reference(spec: dict, order: int) -> ReferenceSpec:
-    if spec["kind"] == "constant":
-        return constant_reference(spec["level"], order)
-    if spec["kind"] == "sinusoid":
-        return sinusoid_reference(spec["amplitude"], spec["omega"], spec["phase"], order)
-    comps = [(c["amplitude"], c["omega"], c["phase"]) for c in spec["components"]]
-    return sum_of_sinusoids_reference(comps, order)
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    if "components" in params:
+        params["components"] = [(c["amplitude"], c["omega"], c["phase"]) for c in params["components"]]
+    return REFERENCE_BUILDERS[spec["kind"]](**params, order=order)
 
 
 def build_experiment(cfg: ExperimentConfig, mode: str | None = None) -> ExperimentSetup:
@@ -456,17 +430,18 @@ def build_experiment(cfg: ExperimentConfig, mode: str | None = None) -> Experime
     mode = cfg.mode if mode is None else mode
     try:
         gains = binomial_gains(plant.order, cfg.lam)
+    except ValueError as exc:
+        raise ConfigError(f"controller.lambda: {exc}") from exc
+    try:
         network = None
         if mode == COMPENSATED:
             net = default_network(cfg.network.neurons, cfg.network.s_range, cfg.network.eta)
             network = replace(net, leakage=cfg.network.kappa, weight_cap=cfg.network.weight_cap)
-        ctrl = ControllerState(gains=gains, mode=mode, network=network, u_limit=cfg.u_limit)
         ref = _build_reference(cfg.reference, plant.order)
         dist = _build_disturbance(cfg.disturbance, cfg.seed, cfg.dt_ctrl)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    ctrl = ControllerState(gains=gains, mode=mode, network=network, u_limit=cfg.u_limit)
     return ExperimentSetup(
         truth=plant,
         nominal=plant,

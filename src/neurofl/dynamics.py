@@ -146,9 +146,12 @@ def binomial_gains(n: int, lam: float) -> GainVector:
         raise ValueError("plant order must be >= 1")
     if not (lam > 0.0):
         raise ValueError("lambda must be > 0")
-    gains = np.array(
-        [binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float
-    )
+    try:
+        gains = np.array(
+            [binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float
+        )
+    except OverflowError as exc:
+        raise ValueError(f"lambda={lam:g} gives order-{n} gains beyond the float range") from exc
     return GainVector(lam=float(lam), order=n, gains=gains)
 
 
@@ -161,9 +164,10 @@ def hurwitz_check(poly: CharPolynomial) -> bool:
     deg = poly.degree
     if deg < 1:
         raise ValueError("polynomial degree must be >= 1")
-    coeffs = poly.coefficients
-    row_hi = list(coeffs[0::2])
-    row_lo = list(coeffs[1::2])
+    # Python floats: an overflow in the rows gives inf or nan, and no warning
+    coeffs = poly.coefficients.tolist()
+    row_hi = coeffs[0::2]
+    row_lo = coeffs[1::2]
     width = len(row_hi)
     row_lo += [0.0] * (width - len(row_lo))
 

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import StateVector
-from .errors import ControllabilityFault
-
 __all__ = [
     "PlantModel",
     "DisturbanceSpec",
-    "eval_dynamics",
     "pendulum_plant",
     "duffing_plant",
     "vanderpol_plant",
@@ -26,10 +22,9 @@ __all__ = [
     "constant_disturbance",
     "sinusoid_disturbance",
     "noise_disturbance",
+    "disturbance_sampler",
     "disturbance_sample",
 ]
-
-DISTURBANCE_KINDS = ("none", "constant", "sinusoid", "band-limited-noise")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,20 +44,6 @@ class PlantModel:
             raise ValueError("plant order must be >= 1")
         if not (self.b_min > 0.0):
             raise ValueError("b_min must be > 0")
-
-
-def eval_dynamics(plant: PlantModel, x: StateVector, u: float, d: float, t: float) -> float:
-    """Highest output derivative x^(n) = f(x,t) + b(x,t)*u + d."""
-    if x.order != plant.order:
-        raise ValueError(f"state order {x.order} does not match plant order {plant.order}")
-    b = plant.b_eval(x, t)
-    if abs(b) < plant.b_min:
-        raise ControllabilityFault(
-            f"|b|={abs(b):.3g} below guard {plant.b_min:.3g} for plant '{plant.name}'",
-            state=x,
-            t=t,
-        )
-    return plant.f_eval(x, t) + b * u + d
 
 
 def pendulum_plant(m: float = 1.0, l: float = 1.0, c: float = 0.0, g: float = 9.81) -> PlantModel:
@@ -129,10 +110,9 @@ class DisturbanceSpec:
     cutoff_hz: float = 0.0
     seed: int = 0
     sample_dt: float = 1e-3
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
+        if self.kind not in DISTURBANCE_BUILDERS:
             raise ValueError(f"unknown disturbance kind '{self.kind}'")
         if self.bound < 0.0 or not math.isfinite(self.bound):
             raise ValueError("bound must be a finite value >= 0")
@@ -192,6 +172,15 @@ def noise_disturbance(
     )
 
 
+# kind -> builder; the config layer takes each kind's keys from its builder's parameters
+DISTURBANCE_BUILDERS = {
+    "none": no_disturbance,
+    "constant": constant_disturbance,
+    "sinusoid": sinusoid_disturbance,
+    "band-limited-noise": noise_disturbance,
+}
+
+
 def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     """Filtered noise samples 0..count-1; regenerating a longer prefix from the
     same seed reproduces the shorter one exactly."""
@@ -213,7 +202,7 @@ def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     return out
 
 
-def _sampler(spec: DisturbanceSpec, t_end: float):
+def disturbance_sampler(spec: DisturbanceSpec, t_end: float):
     """d(t) for one run that reads the disturbance on [0, t_end].
 
     The kind is resolved here, once per run. Noise is generated for exactly
@@ -236,16 +225,8 @@ def _sampler(spec: DisturbanceSpec, t_end: float):
 
 
 def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:
-    """Disturbance value at time t; deterministic in (spec, t)."""
+    """Disturbance value at time t; deterministic in (spec, t). Each call
+    builds a disturbance_sampler: read a series through one sampler instead."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if spec.kind != "band-limited-noise":
-        return _sampler(spec, t)(t)
-    # band-limited noise: zero-order hold on the filtered grid sequence
-    k = int(math.floor(t / spec.sample_dt + 1e-9))
-    series = spec._cache.get("series")
-    if series is None or series.size <= k:
-        have = 0 if series is None else series.size
-        series = _noise_series(spec, max(k + 1, 2 * have, 4096))
-        spec._cache["series"] = series
-    return float(series[k])
+    return disturbance_sampler(spec, t)(t)

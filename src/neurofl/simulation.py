@@ -13,8 +13,10 @@ import numpy as np
 from .controller import ControllerState, control_step
 from .dynamics import StateVector, _filter_weights
 from .errors import ControllabilityFault, DivergenceFault
-from .plants import DisturbanceSpec, PlantModel, _sampler, disturbance_sample
-from .rbf import RbfNetwork
+from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
+# unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
+from .plants import disturbance_sample  # noqa: F401
+from .rbf import RbfNetwork, activations
 
 __all__ = [
     "ReferenceSpec",
@@ -29,8 +31,6 @@ __all__ = [
     "compute_metrics",
     "ideal_disturbance_plant",
 ]
-
-REFERENCE_KINDS = ("constant", "sinusoid", "sum-of-sinusoids")
 
 # A state magnitude past this is treated as divergence even while still finite.
 DIVERGENCE_LIMIT = 1e9
@@ -56,7 +56,7 @@ class ReferenceSpec:
     _terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in REFERENCE_KINDS:
+        if self.kind not in REFERENCE_BUILDERS:
             raise ValueError(f"unknown reference kind '{self.kind}'")
         if self.order < 1:
             raise ValueError("reference order must be >= 1")
@@ -101,6 +101,14 @@ def sinusoid_reference(amplitude: float, omega: float, phase: float, order: int)
 def sum_of_sinusoids_reference(components, order: int) -> ReferenceSpec:
     comps = tuple((float(a), float(w), float(p)) for a, w, p in components)
     return ReferenceSpec(kind="sum-of-sinusoids", order=order, components=comps)
+
+
+# kind -> builder; the config layer takes each kind's keys from its builder's parameters
+REFERENCE_BUILDERS = {
+    "constant": constant_reference,
+    "sinusoid": sinusoid_reference,
+    "sum-of-sinusoids": sum_of_sinusoids_reference,
+}
 
 
 def _reference_values(spec: ReferenceSpec, t: float) -> tuple[np.ndarray, float]:
@@ -215,17 +223,14 @@ def integrate_interval(
     t0: float,
     dt: float,
     substeps: int,
-    dist,
+    d,
 ) -> np.ndarray:
     """Advance the truth plant over one control interval with u held constant;
-    the disturbance is evaluated at the true substep times. `dist` is a
-    DisturbanceSpec or, from run_closed_loop, the run's sampler d(t)."""
-    if isinstance(dist, DisturbanceSpec):
-        spec = dist
-        dist = lambda t: disturbance_sample(spec, t)
+    the disturbance d(t), such as the run's disturbance_sampler, is evaluated
+    at the true substep times."""
     # float(u): u computed from array elements is a numpy scalar, which would
     # carry numpy scalar arithmetic into every stage
-    deriv = _plant_deriv(truth, float(u), dist)
+    deriv = _plant_deriv(truth, float(u), d)
     h = dt / substeps
     y = y.tolist()
     try:
@@ -237,6 +242,15 @@ def integrate_interval(
     if max(map(abs, y)) > DIVERGENCE_LIMIT:
         raise DivergenceFault(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t0 + dt:.6g}")
     return np.array(y)
+
+
+def _control_steps(T: float, dt_ctrl: float) -> int:
+    """Number of control intervals in [0, T]. T must be within 1e-9
+    intervals of a whole number of dt_ctrl, so that no remainder is cut off."""
+    steps = int(math.floor(T / dt_ctrl + 1e-9))
+    if T / dt_ctrl - steps > 1e-9:
+        raise ValueError(f"T: must be a whole number of dt_ctrl ({dt_ctrl:g}), got {T:g}")
+    return steps
 
 
 def run_closed_loop(
@@ -275,7 +289,7 @@ def run_closed_loop(
         raise ValueError("lambda must match the controller gains")
 
     n = truth.order
-    steps = int(math.floor(T / dt_ctrl + 1e-9))
+    steps = _control_steps(T, dt_ctrl)
     count = steps + 1
 
     if x0 is None:
@@ -305,7 +319,7 @@ def run_closed_loop(
     # The disturbance is read at the samples and at the RK4 stage times, the
     # last of which ends the final interval.
     h = dt_ctrl / substeps
-    d = _sampler(dist, max(steps * dt_ctrl, (steps - 1) * dt_ctrl + (substeps - 1) * h + h))
+    d = disturbance_sampler(dist, max(steps * dt_ctrl, (steps - 1) * dt_ctrl + (substeps - 1) * h + h))
 
     # From here on y and x_d are raw arrays: y is finite (x0 was checked and
     # _rk4 rejects non-finite states) and reference values are finite by
@@ -414,8 +428,6 @@ def ideal_disturbance_plant(
     if not (lam > 0.0):
         raise ValueError("lambda must be > 0")
     filt = _filter_weights(base.order, lam)
-    centers = target.centers
-    two_sq_widths = 2.0 * target.widths**2
     w_target = target.weights
     base_f = base.f_eval
     if ref.kind == "constant":
@@ -427,8 +439,7 @@ def ideal_disturbance_plant(
     def f_with_net(x, t):
         vals = x.values if isinstance(x, StateVector) else x
         s = float(np.dot(filt, vals - ref_vals(t)))
-        phi = np.exp(-((s - centers) ** 2) / two_sq_widths)
-        return base_f(x, t) + float(np.dot(w_target, phi))
+        return base_f(x, t) + float(np.dot(w_target, activations(target, s)))
 
     return PlantModel(
         order=base.order,

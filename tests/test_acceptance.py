@@ -230,9 +230,13 @@ def test_c8_reduction_identity():
         xd_n = float(rng.uniform(-5.0, 5.0))
         f_val = float(rng.uniform(-10.0, 10.0))
         b_val = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0))
-        u_c, s, d_hat = nf.nn_fl_control(ctrl_c, x, x_d, xd_n, f_val, b_val, lam)
-        u_b = nf.fl_control(ctrl_b, x, x_d, xd_n, f_val, b_val)
-        if u_c != u_b or d_hat != 0.0:
+        # the nominal model evaluates to the drawn f and b at every state
+        plant = nf.PlantModel(
+            order=n, f_eval=lambda x, t: f_val, b_eval=lambda x, t: b_val, b_min=0.01, name="drawn"
+        )
+        u_c, _, log_c = nf.control_step(ctrl_c, plant, x, x_d, xd_n, 0.0, 1e-3)
+        u_b, _, _ = nf.control_step(ctrl_b, plant, x, x_d, xd_n, 0.0, 1e-3)
+        if u_c != u_b or log_c.d_hat != 0.0:
             mismatches += 1
     ok = mismatches == 0
     report(

@@ -1,10 +1,14 @@
-"""The benchmark's output contract, one short run per workload.
+"""The benchmark's output contract, one short run per workload, untraced
+and traced.
 
 `bench/run.py` prints its result as the last line of stdout. That line must
 be strict JSON (no NaN or Infinity), report a correct run with no failed
-child, and carry every end-to-end metric BENCHMARK.json declares. A change
-to the package can break this only through what the line contains: for
-example, when every untraced child fails its checks, `metrics` is empty.
+child, and carry every end-to-end metric BENCHMARK.json declares, plus,
+traced, every per-layer metric. A change to the package can break this only
+through what the line contains. For example, when every untraced child
+fails its checks, `metrics` is empty; and when a name the tracer wraps
+(bench/child.py) is no longer bound where it wraps it, that span is absent
+and its per-layer metrics drop out of the line.
 """
 
 import json
@@ -22,10 +26,9 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_result_line(workload):
+def result_line(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1", "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -35,5 +38,18 @@ def test_result_line(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+    return result, proc.stderr
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_result_line(workload):
+    result, stderr = result_line(workload, "0")
     missing = [m["name"] for m in SPEC["end_to_end"] if m["name"] not in result["metrics"]]
-    assert missing == [], proc.stderr
+    assert missing == [], stderr
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_traced_result_line(workload):
+    result, stderr = result_line(workload, "1")
+    missing = [m["name"] for m in SPEC["per_layer"] if m["name"] not in result["metrics"]]
+    assert missing == [], stderr

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,14 @@ class TestConfigValidation:
     def test_negative_lambda_names_key_and_constraint(self):
         with pytest.raises(ConfigError, match=r"lambda.*must be > 0"):
             config_from_dict(minimal_config(controller={"lambda": -1.0}))
+
+    def test_lambda_beyond_float_range_names_key(self):
+        with pytest.raises(ConfigError, match=r"controller\.lambda: lambda=1e\+200 gives order-2 gains"):
+            config_from_dict(minimal_config(controller={"lambda": 1e200}))
+        # the gains of 1e150 are finite, and checking them warns of no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert config_from_dict(minimal_config(controller={"lambda": 1e150})).lam == 1e150
 
     def test_unknown_key_suggests_neighbour(self):
         with pytest.raises(ConfigError, match=r"unknown key 'lamda'.*did you mean 'lambda'"):

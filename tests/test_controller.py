@@ -8,12 +8,10 @@ from neurofl.controller import (
     COMPENSATED,
     ControllerState,
     control_step,
-    fl_control,
-    nn_fl_control,
 )
 from neurofl.dynamics import GainVector, StateVector, binomial_gains
 from neurofl.errors import ConfigError, ControllabilityFault
-from neurofl.plants import no_disturbance, pendulum_plant
+from neurofl.plants import PlantModel, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
 from neurofl.simulation import run_closed_loop, sinusoid_reference
 
@@ -52,48 +50,60 @@ class TestControllerState:
             ControllerState(gains=binomial_gains(2, 1.0), u_limit=0.0)
 
 
+def constant_plant(f_val, b_val, b_min=0.01):
+    """Nominal model with f and b constant, so a test can set them directly."""
+    return PlantModel(
+        order=2, f_eval=lambda x, t: f_val, b_eval=lambda x, t: b_val, b_min=b_min, name="constant"
+    )
+
+
+def control_u(ctrl, x, x_d, xd_n, f_val, b_val, b_min=0.01):
+    """The input control_step applies for the given f and b."""
+    return control_step(ctrl, constant_plant(f_val, b_val, b_min), x, x_d, xd_n, 0.0, 1e-3)[0]
+
+
 class TestFlControl:
     def test_zero_everything(self):
         ctrl = baseline_ctrl()
         x = StateVector([0.3, -0.1])
-        assert fl_control(ctrl, x, x, 0.0, 0.0, 1.0) == 0.0
+        assert control_u(ctrl, x, x, 0.0, 0.0, 1.0) == 0.0
 
     def test_cancellation_and_feedforward(self):
         ctrl = baseline_ctrl()
         x = StateVector([0.3, -0.1])
         # zero error, f = -3, xd_n = 2, b = 2: u = (3 + 2) / 2
-        assert fl_control(ctrl, x, x, 2.0, -3.0, 2.0) == pytest.approx(2.5, abs=0)
+        assert control_u(ctrl, x, x, 2.0, -3.0, 2.0) == pytest.approx(2.5, abs=0)
 
     def test_pure_feedback(self):
         ctrl = baseline_ctrl(lam=2.0)  # k = [4, 4]
         x = StateVector([1.0, 0.5])
         zero = StateVector([0.0, 0.0])
-        assert fl_control(ctrl, x, zero, 0.0, 0.0, 1.0) == pytest.approx(-6.0, abs=0)
+        assert control_u(ctrl, x, zero, 0.0, 0.0, 1.0) == pytest.approx(-6.0, abs=0)
 
     def test_b_guard(self):
         ctrl = baseline_ctrl()
         x = StateVector([0.0, 0.0])
         with pytest.raises(ControllabilityFault):
-            fl_control(ctrl, x, x, 0.0, 0.0, 0.1, b_min=0.5)
+            control_u(ctrl, x, x, 0.0, 0.0, 0.1, b_min=0.5)
         with pytest.raises(ControllabilityFault):
-            fl_control(ctrl, x, x, 0.0, 0.0, 0.0)
+            control_u(ctrl, x, x, 0.0, 0.0, 0.0)
 
     def test_saturation_clamps(self):
         ctrl = baseline_ctrl(u_limit=1.5)
         x = StateVector([1.0, 0.5])
         zero = StateVector([0.0, 0.0])
-        assert fl_control(ctrl, x, zero, 0.0, 0.0, 1.0) == -1.5
+        assert control_u(ctrl, x, zero, 0.0, 0.0, 1.0) == -1.5
 
     def test_feedback_term_is_affine_in_each_error_component(self):
         ctrl = baseline_ctrl(lam=1.5)
         b_val = 2.0
         x_d = StateVector([0.2, -0.4])
         base = np.array([0.7, 0.3])
-        u0 = fl_control(ctrl, StateVector(base), x_d, 0.5, -1.0, b_val)
+        u0 = control_u(ctrl, StateVector(base), x_d, 0.5, -1.0, b_val)
         for i in range(2):
             bumped = base.copy()
             bumped[i] += 1.0
-            u1 = fl_control(ctrl, StateVector(bumped), x_d, 0.5, -1.0, b_val)
+            u1 = control_u(ctrl, StateVector(bumped), x_d, 0.5, -1.0, b_val)
             assert u1 - u0 == pytest.approx(-ctrl.gains.gains[i] / b_val, rel=1e-12)
 
 
@@ -109,9 +119,10 @@ class TestNnFlControl:
             x_d = StateVector(rng.uniform(-2, 2, 2))
             xd_n, f_val = rng.uniform(-5, 5, 2)
             b_val = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
-            u_c, s, d_hat = nn_fl_control(ctrl_c, x, x_d, xd_n, f_val, b_val, 2.0)
-            u_b = fl_control(ctrl_b, x, x_d, xd_n, f_val, b_val)
-            assert d_hat == 0.0
+            plant = constant_plant(f_val, b_val)
+            u_c, _, log = control_step(ctrl_c, plant, x, x_d, xd_n, 0.0, 1e-3)
+            u_b, _, _ = control_step(ctrl_b, plant, x, x_d, xd_n, 0.0, 1e-3)
+            assert log.d_hat == 0.0
             assert u_c == u_b  # identical arithmetic path, bit for bit
 
     def test_compensation_shifts_input(self):
@@ -120,9 +131,9 @@ class TestNnFlControl:
             gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=one_neuron_net(1.0)
         )
         x = StateVector([0.0, 0.0])
-        u, s, d_hat = nn_fl_control(ctrl, x, x, 0.0, 0.0, 2.0, 2.0)
-        assert s == 0.0
-        assert d_hat == 1.0
+        u, _, log = control_step(ctrl, constant_plant(0.0, 2.0), x, x, 0.0, 0.0, 1e-3)
+        assert log.s == 0.0
+        assert log.d_hat == 1.0
         assert u == pytest.approx(-0.5, abs=0)
 
     def test_zero_error_gives_zero_s(self):
@@ -130,14 +141,8 @@ class TestNnFlControl:
         for lam in (0.5, 2.0, 7.0):
             ctrl = ControllerState(gains=binomial_gains(2, lam), mode=COMPENSATED, network=net)
             x = StateVector([0.4, -1.0])
-            _, s, _ = nn_fl_control(ctrl, x, x, 0.0, 0.0, 1.0, lam)
-            assert s == 0.0
-
-    def test_missing_network_rejected(self):
-        ctrl = baseline_ctrl()
-        x = StateVector([0.0, 0.0])
-        with pytest.raises(ConfigError):
-            nn_fl_control(ctrl, x, x, 0.0, 0.0, 1.0, 2.0)
+            _, _, log = control_step(ctrl, constant_plant(0.0, 1.0), x, x, 0.0, 0.0, 1e-3)
+            assert log.s == 0.0
 
 
 class TestControlStep:
@@ -211,8 +216,6 @@ class TestControlStep:
         assert abs(ctrl2.network.weights[0]) == 0.1
 
     def test_controllability_fault_propagates(self):
-        from neurofl.plants import PlantModel
-
         weak = PlantModel(
             order=2, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 0.01, b_min=0.5, name="weak"
         )
@@ -247,8 +250,6 @@ class TestControlStep:
             control_step(baseline_ctrl(), plant, StateVector([0.0, 0.0]), StateVector([0.0]), 0.0, 0.0, 1e-3)
 
     def test_fault_carries_the_state_passed_in(self):
-        from neurofl.plants import PlantModel
-
         weak = PlantModel(
             order=2, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 0.01, b_min=0.5, name="weak"
         )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,8 @@ class TestBinomialGains:
             binomial_gains(2, -1.0)
         with pytest.raises(ValueError):
             binomial_gains(0, 1.0)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            binomial_gains(2, 1e200)
 
     def test_gain_vector_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -144,6 +147,14 @@ class TestHurwitzCheck:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_check(CharPolynomial(np.array([1.0])))
+
+    @pytest.mark.parametrize("lam", [1e150, 1e154])
+    def test_overflowing_rows_warn_nothing(self, lam):
+        # (p + lam)^2 = p^2 + 2 lam p + lam^2: 2 lam * lam^2 overflows the
+        # Routh rows to inf and then nan, and the first column still reads stable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hurwitz_check(binomial_gains(2, lam).char_polynomial()) is True
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_agrees_with_root_oracle_on_random_polynomials(self, degree):

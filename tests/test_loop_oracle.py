@@ -2,10 +2,10 @@
 
 The oracle is the straightforward sampled loop: reference_at ->
 StateVector(y) -> control_step -> an array RK4 interval, one value object per
-sample, with the disturbance read through disturbance_sample. The interval
-is a frozen copy of the array integrator the simulator used before its RK4
-stages ran on Python floats, so the simulator's own kernel is never its own
-judge. The simulator's inner loop works on raw arrays, float lists, per-run
+sample, with the disturbance read through the oracle's own per-kind
+formulas. The interval is a frozen copy of the array integrator the simulator
+used before its RK4 stages ran on Python floats, so the simulator's own
+kernel and disturbance sampler are never their own judge. The simulator's inner loop works on raw arrays, float lists, per-run
 constants and a per-run disturbance sampler instead; every recorded signal
 must agree with the oracle bit for bit.
 """
@@ -21,8 +21,8 @@ from neurofl.dynamics import GainVector, StateVector, binomial_gains
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
+    _noise_series,
     constant_disturbance,
-    disturbance_sample,
     no_disturbance,
     noise_disturbance,
     sinusoid_disturbance,
@@ -54,8 +54,21 @@ def frozen_rk4_step(deriv, y, t, dt):
     return out
 
 
+def frozen_disturbance(spec, T):
+    """d(t) on [0, T] written out per kind. Noise is one prefix of the
+    filtered grid series, generated for the run and held between samples."""
+    if spec.kind == "none":
+        return lambda t: 0.0
+    if spec.kind == "constant":
+        return lambda t: spec.offset
+    if spec.kind == "sinusoid":
+        return lambda t: spec.amplitude * math.sin(2.0 * math.pi * spec.frequency_hz * t + spec.phase)
+    series = _noise_series(spec, math.floor(T / spec.sample_dt) + 2)
+    return lambda t: float(series[math.floor(t / spec.sample_dt + 1e-9)])
+
+
 def frozen_integrate_interval(truth, y, u, t0, dt, substeps, dist):
-    """One control interval with u held, on arrays, d from disturbance_sample."""
+    """One control interval with u held, on arrays, d(t) from dist."""
     n = truth.order
 
     def deriv(y, tau):
@@ -64,7 +77,7 @@ def frozen_integrate_interval(truth, y, u, t0, dt, substeps, dist):
             raise ControllabilityFault("b below guard during integration", state=y, t=tau)
         out = np.empty(n)
         out[: n - 1] = y[1:]
-        out[n - 1] = truth.f_eval(y, tau) + b * u + disturbance_sample(dist, tau)
+        out[n - 1] = truth.f_eval(y, tau) + b * u + dist(tau)
         return out
 
     h = dt / substeps
@@ -79,6 +92,7 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
     """Per-sample records and the terminal event of the sampled loop."""
     steps = int(math.floor(T / dt_ctrl + 1e-9))
     y = reference_at(ref, 0.0)[0].values.copy() if x0 is None else np.array(x0, dtype=float)
+    d = frozen_disturbance(dist, T)
     rec = {name: [] for name in (*FIELDS, "event", "weights")}
     terminal = None
     for k in range(steps + 1):
@@ -88,7 +102,7 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
         rec["t"].append(t_k)
         rec["x"].append(y)
         rec["x_d"].append(x_d.values)
-        rec["d_true"].append(disturbance_sample(dist, t_k))
+        rec["d_true"].append(d(t_k))
         if ctrl.network is not None:
             rec["weights"].append(ctrl.network.weights)
         try:
@@ -104,7 +118,7 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
         if k == steps:
             break
         try:
-            y = frozen_integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, dist)
+            y = frozen_integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, d)
         except (ControllabilityFault, DivergenceFault) as exc:
             terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
             rec["event"][-1] = terminal if rec["event"][-1] == "" else f"{rec['event'][-1]};{terminal}"

@@ -9,18 +9,18 @@ from neurofl.errors import ControllabilityFault
 from neurofl.plants import (
     DisturbanceSpec,
     _noise_series,
-    _sampler,
     PlantModel,
     constant_disturbance,
     disturbance_sample,
+    disturbance_sampler,
     duffing_plant,
-    eval_dynamics,
     no_disturbance,
     noise_disturbance,
     pendulum_plant,
     sinusoid_disturbance,
     vanderpol_plant,
 )
+from neurofl.simulation import _plant_deriv
 
 
 def integrator_plant(order=2, b=1.0):
@@ -33,23 +33,25 @@ def integrator_plant(order=2, b=1.0):
     )
 
 
+def highest_derivative(plant, y, u, d, t):
+    """x^(n) = f(x,t) + b(x,t)*u + d, as the integrator's right-hand side
+    evaluates it."""
+    return _plant_deriv(plant, u, lambda tau: d)(list(y), t)[-1]
+
+
 class TestEvalDynamics:
     def test_trivial_plant(self):
-        assert eval_dynamics(integrator_plant(), StateVector([0.0, 0.0]), 0.0, 0.0, 0.0) == 0.0
+        assert highest_derivative(integrator_plant(), [0.0, 0.0], 0.0, 0.0, 0.0) == 0.0
 
     def test_pendulum_at_rest_with_unit_input(self):
         p = pendulum_plant(m=2.0, l=0.5, c=0.1, g=9.81)
-        got = eval_dynamics(p, StateVector([0.0, 0.0]), 1.0, 0.0, 0.0)
+        got = highest_derivative(p, [0.0, 0.0], 1.0, 0.0, 0.0)
         assert got == pytest.approx(1.0 / (2.0 * 0.5**2), rel=1e-15)
 
     def test_pendulum_horizontal_gravity_torque(self):
         p = pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
-        got = eval_dynamics(p, StateVector([math.pi / 2, 0.0]), 0.0, 0.0, 0.0)
+        got = highest_derivative(p, [math.pi / 2, 0.0], 0.0, 0.0, 0.0)
         assert got == pytest.approx(-9.81, rel=1e-15)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_dynamics(integrator_plant(), StateVector([0.0]), 0.0, 0.0, 0.0)
 
     def test_b_guard_fault_carries_state_and_time(self):
         p = PlantModel(
@@ -59,17 +61,16 @@ class TestEvalDynamics:
             b_min=0.5,
             name="weak",
         )
-        x = StateVector([1.0, 2.0])
         with pytest.raises(ControllabilityFault) as exc:
-            eval_dynamics(p, x, 1.0, 0.0, 3.5)
-        assert exc.value.state == x
+            highest_derivative(p, [1.0, 2.0], 1.0, 0.0, 3.5)
+        np.testing.assert_array_equal(exc.value.state, [1.0, 2.0])
         assert exc.value.t == 3.5
 
     def test_affine_in_u_with_slope_b(self):
         for plant in (pendulum_plant(), duffing_plant(), vanderpol_plant(gain=-2.5)):
-            x = StateVector([0.4, -0.3])
-            at0 = eval_dynamics(plant, x, 0.0, 0.2, 1.0)
-            at1 = eval_dynamics(plant, x, 1.0, 0.2, 1.0)
+            x = [0.4, -0.3]
+            at0 = highest_derivative(plant, x, 0.0, 0.2, 1.0)
+            at1 = highest_derivative(plant, x, 1.0, 0.2, 1.0)
             assert at1 - at0 == pytest.approx(plant.b_eval(x, 1.0), rel=1e-12)
 
 
@@ -164,24 +165,23 @@ class TestDisturbances:
     )
     def test_bound_holds_on_sampled_grid(self, spec):
         ts = np.linspace(0.0, 20.0, 4001)
-        samples = np.array([disturbance_sample(spec, t) for t in ts])
+        d = disturbance_sampler(spec, ts[-1])
+        samples = np.array([d(t) for t in ts])
         assert np.all(np.abs(samples) <= spec.bound + 1e-15)
 
     def test_noise_is_reproducible(self):
         a = noise_disturbance(1.0, cutoff_hz=4.0, seed=123)
         b = noise_disturbance(1.0, cutoff_hz=4.0, seed=123)
         ts = np.arange(0.0, 0.5, 1e-3)
-        sa = [disturbance_sample(a, t) for t in ts]
-        sb = [disturbance_sample(b, t) for t in ts]
-        assert sa == sb
+        da, db = disturbance_sampler(a, ts[-1]), disturbance_sampler(b, ts[-1])
+        assert [da(t) for t in ts] == [db(t) for t in ts]
 
     def test_noise_seed_changes_signal(self):
         a = noise_disturbance(1.0, cutoff_hz=4.0, seed=1)
         b = noise_disturbance(1.0, cutoff_hz=4.0, seed=2)
         ts = np.arange(0.0, 0.2, 1e-3)
-        assert [disturbance_sample(a, t) for t in ts] != [
-            disturbance_sample(b, t) for t in ts
-        ]
+        da, db = disturbance_sampler(a, ts[-1]), disturbance_sampler(b, ts[-1])
+        assert [da(t) for t in ts] != [db(t) for t in ts]
 
     def test_noise_prefix_stable_under_cache_growth(self):
         # reading a late sample first must not change earlier samples
@@ -205,8 +205,8 @@ class TestDisturbances:
         for i in range(drive.size):
             level += beta * (drive[i] - level)
             expected.append(min(max(level, -0.3), 0.3))
-        got = [disturbance_sample(spec, k * 1e-3) for k in range(drive.size)]
-        assert got == expected
+        d = disturbance_sampler(spec, (drive.size - 1) * 1e-3)
+        assert [d(k * 1e-3) for k in range(drive.size)] == expected
 
     def test_noise_holds_between_grid_points(self):
         spec = noise_disturbance(1.0, cutoff_hz=4.0, seed=5, sample_dt=0.01)
@@ -223,11 +223,26 @@ class TestDisturbances:
         ids=lambda spec: spec.kind,
     )
     def test_run_sampler_matches_disturbance_sample_bitwise(self, spec):
+        # a sampler's values do not depend on the horizon it was built for
         ts = [k * 2.5e-4 for k in range(4001)]
-        d = _sampler(spec, ts[-1])
+        d = disturbance_sampler(spec, ts[-1])
         got = [d(t) for t in ts]
         assert got == [disturbance_sample(spec, t) for t in ts]
         assert all(type(v) is float for v in got)
+
+    def test_run_sampler_matches_written_out_formulas_bitwise(self):
+        ts = [k * 2.5e-4 for k in range(4001)]
+        d = disturbance_sampler(sinusoid_disturbance(0.9, 2.3, phase=0.4), ts[-1])
+        assert [d(t) for t in ts] == [0.9 * math.sin(2.0 * math.pi * 2.3 * t + 0.4) for t in ts]
+        d = disturbance_sampler(constant_disturbance(-0.7), ts[-1])
+        assert [d(t) for t in ts] == [-0.7] * len(ts)
+        d = disturbance_sampler(no_disturbance(), ts[-1])
+        assert [d(t) for t in ts] == [0.0] * len(ts)
+        # noise: the filtered grid sample at or before t, held in between
+        spec = noise_disturbance(1.2, cutoff_hz=5.0, seed=21, sample_dt=3e-3)
+        series = _noise_series(spec, 400)
+        d = disturbance_sampler(spec, ts[-1])
+        assert [d(t) for t in ts] == [float(series[math.floor(t / 3e-3 + 1e-9)]) for t in ts]
 
     def test_run_sampler_generates_exactly_the_horizon(self, monkeypatch):
         lengths = []
@@ -238,12 +253,12 @@ class TestDisturbances:
 
         monkeypatch.setattr(plants, "_noise_series", recording)
         spec = noise_disturbance(1.0, cutoff_hz=4.0, seed=5, sample_dt=3e-3)
-        d = _sampler(spec, 0.1)  # 0.1 s ends a third of the way into sample 33
+        d = disturbance_sampler(spec, 0.1)  # 0.1 s ends a third of the way into sample 33
         assert lengths == [34]
         assert d(0.1) == disturbance_sample(spec, 0.1)
         with pytest.raises(IndexError):
             d(0.102)
-        _sampler(noise_disturbance(1.0, cutoff_hz=4.0, sample_dt=1e-3), 0.08)
+        disturbance_sampler(noise_disturbance(1.0, cutoff_hz=4.0, sample_dt=1e-3), 0.08)
         assert lengths[-1] == 81
 
     def test_spec_validation(self):

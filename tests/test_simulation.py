@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from neurofl import plants
+from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState
 from neurofl.dynamics import StateVector, binomial_gains, filtered_error, tracking_error
 from neurofl.errors import DivergenceFault
 from neurofl.plants import (
     PlantModel,
+    disturbance_sampler,
     duffing_plant,
     no_disturbance,
     noise_disturbance,
@@ -256,9 +258,10 @@ class TestRunClosedLoop:
             4,
             x0=[0.3, 0.0],
         )
+        d = disturbance_sampler(dist, traj.t[-1])
         for k in range(len(traj) - 1):
             replay = integrate_interval(
-                plant, traj.x[k].copy(), traj.u[k], traj.t[k], traj.dt_ctrl, 4, dist
+                plant, traj.x[k].copy(), traj.u[k], traj.t[k], traj.dt_ctrl, 4, d
             )
             np.testing.assert_array_equal(replay, traj.x[k + 1])
 
@@ -289,7 +292,26 @@ class TestRunClosedLoop:
         # would overflow to inf; either way the interval ends in DivergenceFault
         plant = duffing_plant(b2=50.0)
         with pytest.raises(DivergenceFault, match="overflowed in the RK4 step at t=0.0025"):
-            integrate_interval(plant, np.array([1e9, 0.0]), 0.0, 0.0, 1e-2, 4, no_disturbance())
+            integrate_interval(plant, np.array([1e9, 0.0]), 0.0, 0.0, 1e-2, 4, lambda t: 0.0)
+
+    def test_rbf_basis_overflow_is_divergence(self):
+        # s = lam * 1e9 ~ 1e159: (s - mu)**2 on a Python float raises
+        # OverflowError in the basis, which ends the run like any divergence
+        cfg = config_from_dict(
+            {
+                "plant": {"name": "pendulum"},
+                "controller": {"mode": "compensated", "lambda": 1e150},
+                "simulation": {"T": 0.01, "dt_ctrl": 1e-3, "x0": [1e9, 0.0]},
+            }
+        )
+        setup = build_experiment(cfg)
+        traj = run_closed_loop(
+            setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
+            setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
+        )
+        assert traj.terminal_event == "divergence"
+        assert traj.event == ["divergence"]
+        assert np.isnan(traj.u[0])
 
     def test_divergence_from_model_mismatch_ends_run(self):
         # truth has strong positive feedback the nominal model knows nothing
@@ -341,6 +363,16 @@ class TestRunClosedLoop:
         assert traj.terminal_event == "controllability_fault"
         assert len(traj) < 1001
         assert not compute_metrics(traj).bounded
+
+    def test_T_must_be_whole_number_of_dt_ctrl(self):
+        # T = 1.0 at dt_ctrl = 0.3 would end the run at t = 0.9
+        plant = integrator_plant()
+        args = (plant, plant, baseline_ctrl(lam=2.0), constant_reference(0.0, 2), no_disturbance(), 2.0)
+        with pytest.raises(ValueError, match="T: must be a whole number of dt_ctrl"):
+            run_closed_loop(*args, 1.0, 0.3, 1)
+        # quotients off an integer by rounding only pass: 0.08/1e-3 = 80.00000000000001
+        assert len(run_closed_loop(*args, 0.08, 1e-3, 1)) == 81
+        assert len(run_closed_loop(*args, 0.9, 0.3, 1)) == 4
 
     def test_validation_errors(self):
         plant = integrator_plant()
