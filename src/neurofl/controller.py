@@ -8,7 +8,7 @@ weights reproduces the baseline bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class ControllerState:
     mode: str = BASELINE
     network: RbfNetwork | None = None
     u_limit: float | None = None
-    last_u: float = 0.0
 
     def __post_init__(self):
         if self.mode not in (BASELINE, COMPENSATED):
@@ -51,17 +50,6 @@ class ControllerState:
             raise ConfigError("u_limit must be > 0 when set")
         if not hurwitz_check(self.gains.char_polynomial()):
             raise ConfigError("controller gains do not form a Hurwitz error polynomial")
-
-    def _successor(self, network, last_u):
-        """Post-step copy; gains, mode and u_limit are shared unchanged, so the
-        construction-time validation is not repeated."""
-        new = object.__new__(ControllerState)
-        object.__setattr__(new, "gains", self.gains)
-        object.__setattr__(new, "mode", self.mode)
-        object.__setattr__(new, "network", network)
-        object.__setattr__(new, "u_limit", self.u_limit)
-        object.__setattr__(new, "last_u", last_u)
-        return new
 
 
 @dataclass(frozen=True)
@@ -77,6 +65,42 @@ class StepLog:
     event: str = ""
 
 
+def _control_law(ctrl: ControllerState, plant_nominal: PlantModel, x, x_d, xd_n, t, dt_ctrl, w):
+    """control_step's law on raw arrays of equal length, nothing validated, with
+    the network weights w passed in and (u, s, d_hat, w_norm, adapted w, event)
+    returned; w is returned as it came outside compensated mode."""
+    f_val = plant_nominal.f_eval(x, t)
+    b_val = plant_nominal.b_eval(x, t)
+    if abs(b_val) < plant_nominal.b_min:
+        raise ControllabilityFault(
+            f"|b|={abs(b_val):.3g} below guard {plant_nominal.b_min:.3g}", state=x, t=t
+        )
+
+    event = ""
+    d_hat = w_norm = 0.0
+    xt = x - x_d
+    s = float(np.dot(ctrl.gains.filter_weights, xt))
+    if ctrl.mode == COMPENSATED:
+        net = ctrl.network
+        try:
+            phi = activations(net, s)
+        except OverflowError as exc:
+            # (s - mu)**2 on a Python float raises where it would overflow to inf
+            raise DivergenceFault(f"combined error s={s:.3g} overflowed the RBF basis at t={t:.6g}") from exc
+        d_hat = float(np.dot(w, phi))
+        w_norm = math.sqrt(float(np.dot(w, w)))
+        w = _adapt_with_phi(net, w, s, dt_ctrl, phi)
+        if net.weight_cap is not None and np.any(np.abs(w) >= net.weight_cap):
+            event = EVENT_WEIGHT_CAP
+
+    feedback = float(np.dot(ctrl.gains.gains, xt))
+    u = (-f_val + xd_n - feedback - d_hat) / b_val
+    if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
+        u = math.copysign(ctrl.u_limit, u)
+        event = EVENT_SATURATION if event == "" else f"{EVENT_SATURATION};{event}"
+    return u, s, d_hat, w_norm, w, event
+
+
 def control_step(
     ctrl: ControllerState,
     plant_nominal: PlantModel,
@@ -90,50 +114,24 @@ def control_step(
     u = (-f + xd_n - sum_i k_i * err_i - d_hat) / b, clamped to u_limit,
     where d_hat is the network's output (0 in baseline mode); in compensated
     mode the weights then take one adaptation step with the same s. Returns
-    the input, the successor controller, and the log.
+    the input, the successor controller (ctrl itself in baseline mode), and
+    the log.
 
-    x and x_d are StateVectors or, from the simulation loop, raw arrays of
-    the same length; raw arrays are trusted to be finite."""
+    x and x_d are StateVectors or raw arrays of the same length; raw arrays
+    are trusted to be finite. run_closed_loop runs the same law, keeping the
+    weights itself."""
     if not (dt_ctrl > 0.0):
         raise ValueError("dt_ctrl must be > 0")
-    state = x
-    if isinstance(x, StateVector):
-        x = x.values
-    if isinstance(x_d, StateVector):
-        x_d = x_d.values
-    if x.shape != x_d.shape:
-        raise ValueError(f"state order mismatch: {x.size} vs {x_d.size}")
-    f_val = plant_nominal.f_eval(x, t)
-    b_val = plant_nominal.b_eval(x, t)
-    if abs(b_val) < plant_nominal.b_min:
-        raise ControllabilityFault(
-            f"|b|={abs(b_val):.3g} below guard {plant_nominal.b_min:.3g}", state=state, t=t
-        )
-
-    events = []
-    xt = x - x_d
-    s = float(np.dot(ctrl.gains.filter_weights, xt))
+    values = x.values if isinstance(x, StateVector) else x
+    x_d = x_d.values if isinstance(x_d, StateVector) else x_d
+    if values.shape != x_d.shape:
+        raise ValueError(f"state order mismatch: {values.size} vs {x_d.size}")
+    w = None if ctrl.network is None else ctrl.network.weights
+    try:
+        u, s, d_hat, w_norm, w, event = _control_law(ctrl, plant_nominal, values, x_d, xd_n, t, dt_ctrl, w)
+    except ControllabilityFault as exc:
+        exc.state = x  # the caller's object, not the raw values
+        raise
     if ctrl.mode == COMPENSATED:
-        net = ctrl.network
-        try:
-            phi = activations(net, s)
-        except OverflowError as exc:
-            # (s - mu)**2 on a Python float raises where it would overflow to inf
-            raise DivergenceFault(f"combined error s={s:.3g} overflowed the RBF basis at t={t:.6g}") from exc
-        d_hat = float(np.dot(net.weights, phi))
-        w_norm = math.sqrt(float(np.dot(net.weights, net.weights)))
-        net = _adapt_with_phi(net, s, dt_ctrl, phi)
-        if net.weight_cap is not None and np.any(np.abs(net.weights) >= net.weight_cap):
-            events.append(EVENT_WEIGHT_CAP)
-    else:
-        net = ctrl.network
-        d_hat = 0.0
-        w_norm = 0.0
-
-    feedback = float(np.dot(ctrl.gains.gains, xt))
-    u = (-f_val + xd_n - feedback - d_hat) / b_val
-    if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
-        u = math.copysign(ctrl.u_limit, u)
-        events.insert(0, EVENT_SATURATION)
-    log = StepLog(t=t, u=u, s=s, d_hat=d_hat, w_norm=w_norm, event=";".join(events))
-    return u, ctrl._successor(net, u), log
+        ctrl = replace(ctrl, network=replace(ctrl.network, weights=w))
+    return u, ctrl, StepLog(t=t, u=u, s=s, d_hat=d_hat, w_norm=w_norm, event=event)

@@ -159,13 +159,18 @@ def hurwitz_check(poly: CharPolynomial) -> bool:
     """True iff every root of the polynomial has strictly negative real part.
 
     Routh tabulation on the coefficient rows; a zero pivot means marginal or
-    unstable and is reported as not Hurwitz (no epsilon perturbation).
+    unstable and is reported as not Hurwitz (no epsilon perturbation). The
+    rows are those of p = 2^e q with every |a_i / 2^(e i)| <= 1: the roots
+    scale by 2^-e, signs kept, and the rows of (p + lam)^n stay finite.
     """
     deg = poly.degree
     if deg < 1:
         raise ValueError("polynomial degree must be >= 1")
     # Python floats: an overflow in the rows gives inf or nan, and no warning
     coeffs = poly.coefficients.tolist()
+    # ceil(log2|a_i| / i) from the binary exponent; ldexp scales exactly
+    e = max(((math.frexp(a)[1] + i - 1) // i for i, a in enumerate(coeffs) if i and a), default=0)
+    coeffs = [math.ldexp(a, -e * i) for i, a in enumerate(coeffs)]
     row_hi = coeffs[0::2]
     row_lo = coeffs[1::2]
     width = len(row_hi)

@@ -206,8 +206,8 @@ def disturbance_sampler(spec: DisturbanceSpec, t_end: float):
     """d(t) for one run that reads the disturbance on [0, t_end].
 
     The kind is resolved here, once per run. Noise is generated for exactly
-    the grid samples up to t_end, as a list of Python floats; reading past
-    t_end raises IndexError rather than holding the last sample.
+    the grid samples up to t_end, as a list of Python floats; a read before 0
+    or past t_end raises IndexError, never wraps or holds the last sample.
     """
     kind = spec.kind
     if kind == "none":
@@ -221,7 +221,14 @@ def disturbance_sampler(spec: DisturbanceSpec, t_end: float):
         return lambda t: amplitude * math.sin(omega * t + phase)
     sample_dt = spec.sample_dt
     series = _noise_series(spec, math.floor(t_end / sample_dt + 1e-9) + 1).tolist()
-    return lambda t: series[math.floor(t / sample_dt + 1e-9)]
+
+    def noise(t):
+        i = math.floor(t / sample_dt + 1e-9)
+        if i < 0:
+            raise IndexError(f"noise read at t={t:g}, before its first sample")
+        return series[i]
+
+    return noise
 
 
 def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:

@@ -8,7 +8,7 @@ and widths are fixed at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,30 +92,17 @@ def network_output(net: RbfNetwork, s: float) -> float:
     return float(np.dot(net.weights, activations(net, s)))
 
 
-def _with_weights(net: RbfNetwork, weights: np.ndarray) -> RbfNetwork:
-    """Successor network sharing the (already validated, read-only) centers
-    and widths; for internal use with freshly allocated weight arrays."""
-    weights.setflags(write=False)
-    new = object.__new__(RbfNetwork)
-    object.__setattr__(new, "centers", net.centers)
-    object.__setattr__(new, "widths", net.widths)
-    object.__setattr__(new, "weights", weights)
-    object.__setattr__(new, "learning_rate", net.learning_rate)
-    object.__setattr__(new, "leakage", net.leakage)
-    object.__setattr__(new, "weight_cap", net.weight_cap)
-    object.__setattr__(new, "_center_list", net._center_list)
-    object.__setattr__(new, "_two_var_list", net._two_var_list)
-    return new
-
-
-def _adapt_with_phi(net: RbfNetwork, s: float, dt: float, phi: np.ndarray) -> RbfNetwork:
-    if not math.isfinite(s):
-        raise DivergenceFault("filtered error is not finite; simulation diverged")
-    rate = (net.learning_rate * s) * phi - net.leakage * net.weights
-    new_weights = net.weights + dt * rate
+def _adapt_with_phi(net: RbfNetwork, w: np.ndarray, s: float, dt: float, phi: np.ndarray) -> np.ndarray:
+    """A new array: w after one adaptation step at s, given phi = activations(net, s)."""
+    gain = net.learning_rate * s
+    # eta*s is the factor a run can drive past the float range; phi is in [0, 1]
+    if not math.isfinite(gain):
+        raise DivergenceFault(f"adaptation gain eta*s={gain:.3g} is not finite; simulation diverged")
+    rate = gain * phi - net.leakage * w
+    new_weights = w + dt * rate
     if net.weight_cap is not None:
         np.clip(new_weights, -net.weight_cap, net.weight_cap, out=new_weights)
-    return _with_weights(net, new_weights)
+    return new_weights
 
 
 def adapt_weights(net: RbfNetwork, s: float, dt: float) -> RbfNetwork:
@@ -131,7 +118,7 @@ def adapt_weights(net: RbfNetwork, s: float, dt: float) -> RbfNetwork:
     """
     if not (dt > 0.0):
         raise ValueError("dt must be > 0")
-    return _adapt_with_phi(net, s, dt, activations(net, s))
+    return replace(net, weights=_adapt_with_phi(net, net.weights, s, dt, activations(net, s)))
 
 
 def default_network(neuron_count: int, s_range: float, eta: float) -> RbfNetwork:

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerState, control_step
+from .controller import ControllerState, _control_law
+# unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
+from .controller import control_step  # noqa: F401
 from .dynamics import StateVector, _filter_weights
 from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
@@ -323,7 +325,8 @@ def run_closed_loop(
 
     # From here on y and x_d are raw arrays: y is finite (x0 was checked and
     # _rk4 rejects non-finite states) and reference values are finite by
-    # construction of the ReferenceSpec.
+    # construction of the ReferenceSpec. The loop carries the weights itself.
+    w = None if ctrl.network is None else ctrl.network.weights
     terminal = None
     recorded = 0
     for k in range(count):
@@ -335,10 +338,12 @@ def run_closed_loop(
         xd_arr[k] = x_d
         dtrue_arr[k] = d(t_k)
         if w_hist is not None:
-            w_hist[k] = ctrl.network.weights
+            w_hist[k] = w
 
         try:
-            u, ctrl, log = control_step(ctrl, nominal, y, x_d, xd_n, t_k, dt_ctrl)
+            u, s_arr[k], dhat_arr[k], wnorm_arr[k], w, events[k] = _control_law(
+                ctrl, nominal, y, x_d, xd_n, t_k, dt_ctrl, w
+            )
         except (ControllabilityFault, DivergenceFault) as exc:
             u_arr[k] = np.nan
             s_arr[k] = np.nan
@@ -350,10 +355,6 @@ def run_closed_loop(
             break
 
         u_arr[k] = u
-        s_arr[k] = log.s
-        dhat_arr[k] = log.d_hat
-        wnorm_arr[k] = log.w_norm
-        events[k] = log.event
         recorded = k + 1
 
         if k == steps:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from neurofl.controller import (
     control_step,
 )
 from neurofl.dynamics import GainVector, StateVector, binomial_gains
-from neurofl.errors import ConfigError, ControllabilityFault
+from neurofl.errors import ConfigError, ControllabilityFault, DivergenceFault
 from neurofl.plants import PlantModel, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
 from neurofl.simulation import run_closed_loop, sinusoid_reference
@@ -155,7 +156,6 @@ class TestControlStep:
         assert ctrl2.gains is ctrl.gains
         assert ctrl2.network is None
         assert ctrl2.mode == BASELINE
-        assert ctrl2.last_u == u
         assert log.d_hat == 0.0 and log.w_norm == 0.0
 
     def test_compensated_zero_error_keeps_weights(self):
@@ -214,6 +214,19 @@ class TestControlStep:
         _, ctrl2, log = control_step(ctrl, plant, x, x_d, 0.0, 0.0, 1e-2)
         assert "weight_cap" in log.event
         assert abs(ctrl2.network.weights[0]) == 0.1
+
+    def test_non_finite_adaptation_is_divergence(self):
+        # s = lam * 1e9 = 2e9 and eta = 1e300: eta*s overflows to inf and,
+        # with every phi_i(s) = 0, inf*phi would give NaN weights
+        net = default_network(9, 1.0, 1e300)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=net)
+        x = StateVector([1e9, 0.0])
+        x_d = StateVector([0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceFault, match="not finite"):
+                control_step(ctrl, pendulum_plant(), x, x_d, 0.0, 0.0, 1e-3)
+        assert np.array_equal(ctrl.network.weights, np.zeros(9))
 
     def test_controllability_fault_propagates(self):
         weak = PlantModel(

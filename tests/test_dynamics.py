@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -59,6 +60,13 @@ class TestBinomialCoefficient:
         assert binomial_coefficient(62, 31) == math.comb(62, 31)
 
 
+def finite_gains(n, lam):
+    try:
+        return bool(np.all(np.isfinite(binomial_gains(n, lam).gains)))
+    except ValueError:
+        return False
+
+
 class TestBinomialGains:
     def test_hand_expansions(self):
         np.testing.assert_allclose(binomial_gains(1, 3.0).gains, [3.0])
@@ -90,6 +98,19 @@ class TestBinomialGains:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
     def test_gains_are_hurwitz(self, n, lam):
         assert hurwitz_check(binomial_gains(n, lam).char_polynomial())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gains_are_hurwitz_across_the_float_range(self, n):
+        # up to the largest lambda whose gains are finite; (p + lam)^n is
+        # Hurwitz for every lam > 0, however far its Routh rows would overflow
+        largest = sys.float_info.max ** (1.0 / n)
+        while not finite_gains(n, largest):
+            largest = math.nextafter(largest, 0.0)
+        while finite_gains(n, math.nextafter(largest, math.inf)):
+            largest = math.nextafter(largest, math.inf)
+        lams = [1e-50, 1.0, 1e100, 4e102, 5e102, largest]
+        for lam in [lam for lam in lams if lam <= largest]:
+            assert hurwitz_check(binomial_gains(n, lam).char_polynomial()) is True, lam
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -144,14 +165,20 @@ class TestHurwitzCheck:
         # (p+1)(p-2)(p-3) = p^3 - 4p^2 + p + 6
         assert hurwitz_check(CharPolynomial(np.array([1.0, -4.0, 1.0, 6.0]))) is False
 
+    def test_unstable_cubic_at_large_scale(self):
+        # p^3 + lam p^2 + lam^2 p + 2 lam^3: the Routh row lam^2 - 2 lam^2 < 0
+        lam = 1e100
+        poly = CharPolynomial(np.array([1.0, lam, lam**2, 2.0 * lam**3]))
+        assert hurwitz_check(poly) is False
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             hurwitz_check(CharPolynomial(np.array([1.0])))
 
     @pytest.mark.parametrize("lam", [1e150, 1e154])
     def test_overflowing_rows_warn_nothing(self, lam):
-        # (p + lam)^2 = p^2 + 2 lam p + lam^2: 2 lam * lam^2 overflows the
-        # Routh rows to inf and then nan, and the first column still reads stable
+        # (p + lam)^2 = p^2 + 2 lam p + lam^2: unscaled, 2 lam * lam^2 would
+        # overflow the Routh rows; checking them must warn of nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert hurwitz_check(binomial_gains(2, lam).char_polynomial()) is True

@@ -1,13 +1,16 @@
-"""run_closed_loop against a per-step oracle built from the public API.
+"""run_closed_loop against a per-step oracle built from the public API and
+frozen copies of the simulator's earlier kernels.
 
 The oracle is the straightforward sampled loop: reference_at ->
-StateVector(y) -> control_step -> an array RK4 interval, one value object per
-sample, with the disturbance read through the oracle's own per-kind
-formulas. The interval is a frozen copy of the array integrator the simulator
-used before its RK4 stages ran on Python floats, so the simulator's own
-kernel and disturbance sampler are never their own judge. The simulator's inner loop works on raw arrays, float lists, per-run
-constants and a per-run disturbance sampler instead; every recorded signal
-must agree with the oracle bit for bit.
+StateVector(y) -> the control law -> an array RK4 interval, one value object
+per sample, with the disturbance read through the oracle's own per-kind
+formulas. The law and the interval are frozen copies of the control_step and
+the array integrator the simulator used before its loop ran its own control
+kernel and its RK4 stages ran on Python floats, so the simulator's own
+kernels and disturbance sampler are never their own judge. The simulator's
+inner loop works on raw arrays, float lists, per-run constants, loop-local
+weights and a per-run disturbance sampler instead; every recorded signal must
+agree with the oracle bit for bit.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurofl.controller import COMPENSATED, ControllerState, control_step
+from neurofl.controller import COMPENSATED, ControllerState
 from neurofl.dynamics import GainVector, StateVector, binomial_gains
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
@@ -52,6 +55,46 @@ def frozen_rk4_step(deriv, y, t, dt):
     if not np.isfinite(out).all():
         raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
     return out
+
+
+def frozen_control_law(ctrl, nominal, x, x_d, xd_n, t, dt_ctrl, w):
+    """The sampled control law on arrays, as control_step computed it with its
+    own basis evaluation and adaptation step: (u, s, d_hat, w_norm, the
+    adapted weights, event)."""
+    f_val = nominal.f_eval(x, t)
+    b_val = nominal.b_eval(x, t)
+    if abs(b_val) < nominal.b_min:
+        raise ControllabilityFault("b below guard", state=x, t=t)
+    events = []
+    xt = x - x_d
+    s = float(np.dot(ctrl.gains.filter_weights, xt))
+    d_hat = w_norm = 0.0
+    if ctrl.mode == COMPENSATED:
+        net = ctrl.network
+        try:
+            phi = np.array(
+                [
+                    math.exp(-((s - mu) ** 2) / (2.0 * sigma * sigma))
+                    for mu, sigma in zip(net.centers.tolist(), net.widths.tolist())
+                ]
+            )
+        except OverflowError as exc:
+            raise DivergenceFault("s overflowed the RBF basis") from exc
+        d_hat = float(np.dot(w, phi))
+        w_norm = math.sqrt(float(np.dot(w, w)))
+        if not math.isfinite(s):
+            raise DivergenceFault("s is not finite")
+        w = w + dt_ctrl * ((net.learning_rate * s) * phi - net.leakage * w)
+        if net.weight_cap is not None:
+            w = np.clip(w, -net.weight_cap, net.weight_cap)
+            if np.any(np.abs(w) >= net.weight_cap):
+                events.append("weight_cap")
+    feedback = float(np.dot(ctrl.gains.gains, xt))
+    u = (-f_val + xd_n - feedback - d_hat) / b_val
+    if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
+        u = math.copysign(ctrl.u_limit, u)
+        events.insert(0, "saturation")
+    return u, s, d_hat, w_norm, w, ";".join(events)
 
 
 def frozen_disturbance(spec, T):
@@ -93,6 +136,7 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
     steps = int(math.floor(T / dt_ctrl + 1e-9))
     y = reference_at(ref, 0.0)[0].values.copy() if x0 is None else np.array(x0, dtype=float)
     d = frozen_disturbance(dist, T)
+    w = None if ctrl.network is None else ctrl.network.weights
     rec = {name: [] for name in (*FIELDS, "event", "weights")}
     terminal = None
     for k in range(steps + 1):
@@ -103,18 +147,20 @@ def oracle_closed_loop(truth, nominal, ctrl, ref, dist, T, dt_ctrl, substeps, x0
         rec["x"].append(y)
         rec["x_d"].append(x_d.values)
         rec["d_true"].append(d(t_k))
-        if ctrl.network is not None:
-            rec["weights"].append(ctrl.network.weights)
+        if w is not None:
+            rec["weights"].append(w)
         try:
-            u, ctrl, log = control_step(ctrl, nominal, x, x_d, xd_n, t_k, dt_ctrl)
+            u, s, d_hat, w_norm, w, event = frozen_control_law(
+                ctrl, nominal, x.values, x_d.values, xd_n, t_k, dt_ctrl, w
+            )
         except (ControllabilityFault, DivergenceFault) as exc:
             for name in ("u", "s", "d_hat", "w_norm"):
                 rec[name].append(np.nan)
             terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
             rec["event"].append(terminal)
             break
-        for name in ("u", "s", "d_hat", "w_norm", "event"):
-            rec[name].append(getattr(log, name))
+        for name, value in zip(("u", "s", "d_hat", "w_norm", "event"), (u, s, d_hat, w_norm, event)):
+            rec[name].append(value)
         if k == steps:
             break
         try:
@@ -231,6 +277,16 @@ def test_matches_oracle_when_weight_cap_trips():
         constant_disturbance(0.3), 0.5, 1e-2, 1, x0=[0.6, 0.0],
     )
     assert "weight_cap" in traj.event
+
+
+def test_matches_oracle_when_saturating_as_weight_cap_trips():
+    # both events in one sample are logged in a fixed order
+    plant = order_plant(2)
+    traj = assert_matches_oracle(
+        plant, plant, controller(2, COMPENSATED, lam=4.0, u_limit=0.5, weight_cap=1e-3),
+        reference("constant", 2), constant_disturbance(0.3), 0.5, 1e-2, 1, x0=[1.0, -0.5],
+    )
+    assert "saturation;weight_cap" in traj.event
 
 
 @pytest.mark.parametrize("mode", ["baseline", "compensated"])

@@ -261,6 +261,12 @@ class TestDisturbances:
         disturbance_sampler(noise_disturbance(1.0, cutoff_hz=4.0, sample_dt=1e-3), 0.08)
         assert lengths[-1] == 81
 
+    def test_run_sampler_rejects_reads_before_zero(self):
+        d = disturbance_sampler(noise_disturbance(1.0, cutoff_hz=4.0, seed=1), 1.0)
+        with pytest.raises(IndexError):
+            d(-0.5)
+        assert d(0.0) == disturbance_sample(noise_disturbance(1.0, cutoff_hz=4.0, seed=1), 0.0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             DisturbanceSpec(kind="wobble", bound=1.0)

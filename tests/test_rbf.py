@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,12 @@ class TestAdaptWeights:
             adapt_weights(net, float("nan"), 0.1)
         with pytest.raises(DivergenceFault):
             adapt_weights(net, float("inf"), 0.1)
+        # eta*s overflows to inf for a finite s, and phi(2e9) = 0 makes inf*phi
+        # NaN: a divergence, not NaN weights and a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceFault):
+                adapt_weights(make_net([0.0], eta=1e300), 2e9, 1e-3)
 
     def test_update_direction_matches_output_gradient(self):
         # phi_i(s) should equal d(d_hat)/d(w_i), checked by central differences

@@ -1,11 +1,13 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neurofl import plants
 from neurofl.config import build_experiment, config_from_dict
-from neurofl.controller import ControllerState
+from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import StateVector, binomial_gains, filtered_error, tracking_error
 from neurofl.errors import DivergenceFault
 from neurofl.plants import (
@@ -17,7 +19,7 @@ from neurofl.plants import (
     pendulum_plant,
     sinusoid_disturbance,
 )
-from neurofl.rbf import activations, default_network
+from neurofl.rbf import RbfNetwork, activations, default_network
 from neurofl.simulation import (
     Trajectory,
     compute_metrics,
@@ -312,6 +314,62 @@ class TestRunClosedLoop:
         assert traj.terminal_event == "divergence"
         assert traj.event == ["divergence"]
         assert np.isnan(traj.u[0])
+
+    def test_non_finite_adapted_weights_are_divergence(self):
+        # s = 2e9 and eta = 1e300: eta*s overflows and inf*phi(s) would be NaN
+        # weights; the run ends at this sample, not one sample later in RK4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = config_from_dict(
+                {
+                    "plant": {"name": "pendulum"},
+                    "controller": {"mode": "compensated", "lambda": 2.0, "network": {"eta": 1e300}},
+                    "simulation": {"T": 0.01, "dt_ctrl": 1e-3, "x0": [1e9, 0.0]},
+                }
+            )
+            setup = build_experiment(cfg)
+            traj = run_closed_loop(
+                setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
+                setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0, record_weights=True,
+            )
+        assert traj.terminal_event == "divergence"
+        assert traj.event == ["divergence"]
+        assert np.isnan(traj.u[0]) and np.isnan(traj.s[0]) and np.isnan(traj.w_norm[0])
+        np.testing.assert_array_equal(traj.weights, np.zeros((1, 9)))
+
+    def test_loop_owns_the_weights(self, monkeypatch):
+        # compensated, with the weight cap tripping: the loop carries the
+        # weights itself and builds no controller, network or log per sample,
+        # neither through their constructors nor around them
+        plant = pendulum_plant(c=0.2)
+        net = replace(default_network(9, 1.0, 50.0), weight_cap=0.05)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode="compensated", network=net)
+        args = (plant, plant, ctrl, sinusoid_reference(0.5, 1.0, 0.0, 2), sinusoid_disturbance(0.8, 0.5))
+        weights = ctrl.network.weights.copy()
+        built = []
+
+        def freed(self):
+            built.append(f"freed {type(self).__name__}")
+
+        for cls, attr in ((StepLog, "__init__"), (ControllerState, "__post_init__"), (RbfNetwork, "__post_init__")):
+            original = getattr(cls, attr)
+
+            def counted(self, *a, _original=original, **k):
+                built.append(type(self).__name__)
+                return _original(self, *a, **k)
+
+            monkeypatch.setattr(cls, attr, counted)
+            # a copy made through object.__new__ skips both, but not this
+            monkeypatch.setattr(cls, "__del__", freed, raising=False)
+        first = run_closed_loop(*args, 2.0, 1.0, 1e-2, 2, x0=[0.3, 0.0], record_weights=True)
+        second = run_closed_loop(*args, 2.0, 1.0, 1e-2, 2, x0=[0.3, 0.0], record_weights=True)
+        assert built == []
+        assert "weight_cap" in first.event and first.terminal_event is None
+        assert np.array_equal(ctrl.network.weights, weights)
+        assert not ctrl.network.weights.flags.writeable
+        for name in ("x", "u", "s", "d_hat", "w_norm", "weights"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+        assert first.event == second.event
 
     def test_divergence_from_model_mismatch_ends_run(self):
         # truth has strong positive feedback the nominal model knows nothing
