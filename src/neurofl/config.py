@@ -25,7 +25,7 @@ from .plants import (
     pendulum_plant,
     vanderpol_plant,
 )
-from .rbf import default_network
+from .rbf import _check_leakage_step, default_network
 from .simulation import (
     DIVERGENCE_LIMIT,
     REFERENCE_BUILDERS,
@@ -331,6 +331,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _control_steps(T, dt_ctrl)
     except ValueError as exc:
         raise ConfigError(f"simulation.{exc}") from exc
+    try:
+        _check_leakage_step(network.kappa, dt_ctrl)
+    except ValueError as exc:
+        raise ConfigError(f"controller.network.{exc}") from exc
     substeps = sim_section.get("substeps", 1)
     if not isinstance(substeps, int) or isinstance(substeps, bool) or substeps < 1:
         raise ConfigError("simulation.substeps: must be an integer >= 1")

@@ -1,8 +1,9 @@
 """Benchmark plants in companion form x^(n) = f(x,t) + b(x,t)*u + d, plus
 bounded disturbance generators.
 
-Plant evaluators accept anything indexable as the state (StateVector or a raw
-array), so the integrator can pass its working arrays straight through.
+Plant evaluators accept anything indexable as the state (StateVector, a raw
+array, or the list or tuple of an RK4 stage), so the integrator can pass its
+working state straight through.
 """
 
 from __future__ import annotations

@@ -92,6 +92,14 @@ def network_output(net: RbfNetwork, s: float) -> float:
     return float(np.dot(net.weights, activations(net, s)))
 
 
+def _check_leakage_step(kappa: float, dt_ctrl: float) -> None:
+    """The adaptation step scales w by (1 - dt_ctrl*kappa) through the leakage
+    term, an explicit Euler step that grows the weights geometrically unless
+    dt_ctrl*kappa < 2."""
+    if not (dt_ctrl * kappa < 2.0):
+        raise ValueError(f"kappa: dt_ctrl*kappa must be < 2 for the leakage step to decay, got {dt_ctrl * kappa:g}")
+
+
 def _adapt_with_phi(net: RbfNetwork, w: np.ndarray, s: float, dt: float, phi: np.ndarray) -> np.ndarray:
     """A new array: w after one adaptation step at s, given phi = activations(net, s)."""
     gain = net.learning_rate * s

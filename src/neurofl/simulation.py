@@ -18,7 +18,7 @@ from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
-from .rbf import RbfNetwork, activations
+from .rbf import RbfNetwork, _check_leakage_step, activations
 
 __all__ = [
     "ReferenceSpec",
@@ -152,6 +152,26 @@ def _rk4(deriv, y: list, t: float, dt: float) -> list:
     return out
 
 
+def _rk4_order2(accel, y0: float, y1: float, t: float, dt: float) -> tuple[float, float]:
+    """_rk4 written out for the order-2 companion form, where deriv(y, t) is
+    [y[1], accel(y, t)]: the same operations in the same order, so the same
+    bits, without a list per stage. accel receives each stage as a tuple."""
+    half = 0.5 * dt
+    a1 = accel((y0, y1), t)
+    p1 = y1 + half * a1
+    a2 = accel((y0 + half * y1, p1), t + half)
+    q1 = y1 + half * a2
+    a3 = accel((y0 + half * p1, q1), t + half)
+    r1 = y1 + dt * a3
+    a4 = accel((y0 + dt * q1, r1), t + dt)
+    sixth = dt / 6.0
+    out0 = y0 + sixth * (y1 + 2.0 * p1 + 2.0 * q1 + r1)
+    out1 = y1 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    if not (math.isfinite(out0) and math.isfinite(out1)):
+        raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
+    return out0, out1
+
+
 def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update of y over [t, t+dt]; deriv
     maps an array y and a time to an array dy/dt."""
@@ -197,13 +217,13 @@ class Metrics:
 
 
 def _plant_deriv(plant: PlantModel, u: float, d):
-    """First-order form of x^(n) = f + b*u + d(t) with u held constant, on
-    lists of Python floats."""
+    """accel(y, tau): the highest derivative x^(n) = f + b*u + d(tau) of the
+    companion form with u held constant, for any indexable state y."""
     f_eval = plant.f_eval
     b_eval = plant.b_eval
     b_min = plant.b_min
 
-    def deriv(y, tau):
+    def accel(y, tau):
         b = b_eval(y, tau)
         if abs(b) < b_min:
             raise ControllabilityFault(
@@ -211,11 +231,9 @@ def _plant_deriv(plant: PlantModel, u: float, d):
                 state=np.array(y),
                 t=tau,
             )
-        out = y[1:]
-        out.append(f_eval(y, tau) + b * u + d(tau))
-        return out
+        return f_eval(y, tau) + b * u + d(tau)
 
-    return deriv
+    return accel
 
 
 def integrate_interval(
@@ -232,12 +250,17 @@ def integrate_interval(
     at the true substep times."""
     # float(u): u computed from array elements is a numpy scalar, which would
     # carry numpy scalar arithmetic into every stage
-    deriv = _plant_deriv(truth, float(u), d)
+    accel = _plant_deriv(truth, float(u), d)
     h = dt / substeps
     y = y.tolist()
     try:
-        for j in range(substeps):
-            y = _rk4(deriv, y, t0 + j * h, h)
+        if len(y) == 2:
+            for j in range(substeps):
+                y = _rk4_order2(accel, *y, t0 + j * h, h)
+        else:
+            deriv = lambda v, tau: v[1:] + [accel(v, tau)]
+            for j in range(substeps):
+                y = _rk4(deriv, y, t0 + j * h, h)
     except OverflowError as exc:
         # Python floats raise where numpy scalars overflow to inf
         raise DivergenceFault(f"state overflowed in the RK4 step at t={t0 + j * h:.6g}") from exc
@@ -289,6 +312,8 @@ def run_closed_loop(
         raise ValueError("controller gain order must equal plant order")
     if lam != ctrl.gains.lam:
         raise ValueError("lambda must match the controller gains")
+    if ctrl.network is not None:
+        _check_leakage_step(ctrl.network.leakage, dt_ctrl)
 
     n = truth.order
     steps = _control_steps(T, dt_ctrl)

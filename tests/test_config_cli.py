@@ -94,6 +94,20 @@ class TestConfigValidation:
                 minimal_config(controller={"mode": "compensated", "network": {"eta": -2.0}})
             )
 
+    def test_leakage_step_must_decay(self):
+        # kappa 1e4 at dt_ctrl 1e-3 grew the weights to inf; 2000 does not
+        # decay either. Compare runs both modes, so both are checked.
+        for kappa in (1e4, 2000.0):
+            for mode in ("baseline", "compensated"):
+                raw = minimal_config(
+                    controller={"mode": mode, "lambda": 2.0, "network": {"kappa": kappa}},
+                    simulation={"T": 1.0, "dt_ctrl": 1e-3, "x0": [0.5, 0.0]},
+                )
+                with pytest.raises(ConfigError, match=r"controller\.network\.kappa: dt_ctrl\*kappa must be < 2"):
+                    config_from_dict(raw)
+        raw["controller"]["network"]["kappa"] = 1500.0
+        assert config_from_dict(raw).network.kappa == 1500.0
+
     def test_dt_and_T_validation(self):
         with pytest.raises(ConfigError, match=r"dt_ctrl.*must be > 0"):
             config_from_dict(minimal_config(simulation={"dt_ctrl": 0.0}))

@@ -36,7 +36,7 @@ def integrator_plant(order=2, b=1.0):
 def highest_derivative(plant, y, u, d, t):
     """x^(n) = f(x,t) + b(x,t)*u + d, as the integrator's right-hand side
     evaluates it."""
-    return _plant_deriv(plant, u, lambda tau: d)(list(y), t)[-1]
+    return _plant_deriv(plant, u, lambda tau: d)(list(y), t)
 
 
 class TestEvalDynamics:

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurofl import plants
+from neurofl import plants, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import StateVector, binomial_gains, filtered_error, tracking_error
-from neurofl.errors import DivergenceFault
+from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
     disturbance_sampler,
@@ -18,10 +18,14 @@ from neurofl.plants import (
     noise_disturbance,
     pendulum_plant,
     sinusoid_disturbance,
+    vanderpol_plant,
 )
 from neurofl.rbf import RbfNetwork, activations, default_network
 from neurofl.simulation import (
     Trajectory,
+    _plant_deriv,
+    _rk4,
+    _rk4_order2,
     compute_metrics,
     constant_reference,
     ideal_disturbance_plant,
@@ -84,6 +88,109 @@ class TestRk4Step:
         e1, e2, e3 = run(1e-2), run(5e-3), run(2.5e-3)
         assert 14.0 <= e1 / e2 <= 18.0
         assert 14.0 <= e2 / e3 <= 18.0
+
+
+def time_varying_b_plant():
+    """The loop oracle's order-2 plant: b varies with the state and with t."""
+    return PlantModel(
+        order=2,
+        f_eval=lambda x, t: -1.3 * math.sin(x[0]) - 0.2 * x[1] + 0.5 * x[0] ** 3,
+        b_eval=lambda x, t: 2.0 + 0.5 * math.cos(x[0] + t),
+        b_min=0.1,
+        name="order2",
+    )
+
+
+def kernel_outcome(step):
+    """The bits of the state a step returns, or the fault it raises with its
+    message and, for a ControllabilityFault, the bits of its state and its t."""
+    try:
+        return ("ok", np.array(step(), dtype=float).view(np.int64).tolist())
+    except ControllabilityFault as exc:
+        return (type(exc), str(exc), np.asarray(exc.state, dtype=float).view(np.int64).tolist(), exc.t)
+    except (ArithmeticError, ValueError, DivergenceFault) as exc:
+        return (type(exc), str(exc))
+
+
+def generic_step(accel, y0, y1, t, dt):
+    """_rk4 on the companion form [y1, accel(y)], as integrate_interval runs
+    every order but 2."""
+    return _rk4(lambda v, tau: v[1:] + [accel(v, tau)], [y0, y1], t, dt)
+
+
+def both_kernels(accel, y0, y1, t, dt):
+    """(written-out order-2 step, generic step): each one's kernel_outcome."""
+    return tuple(kernel_outcome(lambda: step(accel, y0, y1, t, dt)) for step in (_rk4_order2, generic_step))
+
+
+def signed_draws(rng, count, lo, hi):
+    """Signed log-uniform magnitudes in [10^lo, 10^hi], a tenth of them +-0.0."""
+    out = 10.0 ** rng.uniform(lo, hi, count) * rng.choice([-1.0, 1.0], count)
+    zeros = rng.random(count) < 0.1
+    out[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return out
+
+
+class TestOrder2Kernel:
+    @pytest.mark.parametrize(
+        "plant",
+        [pendulum_plant(c=0.1), duffing_plant(), vanderpol_plant(mu=1.5), time_varying_b_plant()],
+        ids=lambda p: p.name,
+    )
+    def test_bitwise_equal_to_generic_rk4(self, plant):
+        # random draws, including +-0.0, states near the 1e9 divergence limit
+        # and inputs near the float range, which give non-finite stages and
+        # the overflow and domain errors of the plants' own arithmetic
+        rng = np.random.default_rng(18)
+        count = 2500
+        y0 = signed_draws(rng, count, -6, 9)
+        y1 = signed_draws(rng, count, -6, 9)
+        near_limit = rng.random(count) < 0.1
+        y0[near_limit] = rng.choice([-1.0, 1.0], near_limit.sum()) * rng.uniform(0.9e9, 1e9, near_limit.sum())
+        u = signed_draws(rng, count, -6, 12)
+        huge = rng.random(count) < 0.05
+        u[huge] = rng.choice([-1.0, 1.0], huge.sum()) * 10.0 ** rng.uniform(300, 308, huge.sum())
+        t = rng.uniform(0.0, 100.0, count)
+        dt = 10.0 ** rng.uniform(-5, -1, count)
+        kinds = set()
+        for args in zip(y0.tolist(), y1.tolist(), t.tolist(), dt.tolist(), u.tolist()):
+            accel = _plant_deriv(plant, args[4], lambda tau: 0.3 * math.sin(7.0 * tau))
+            written_out, generic = both_kernels(accel, *args[:4])
+            assert written_out == generic, args
+            kinds.add(written_out[0])
+        # every plant reaches both a finite step and at least one fault
+        assert "ok" in kinds and len(kinds) >= 2
+
+    def test_non_finite_stage_is_the_same_divergence(self):
+        plant = PlantModel(
+            order=2, f_eval=lambda x, t: 1e300 * x[1], b_eval=lambda x, t: 1.0, b_min=0.5, name="stiff"
+        )
+        written_out, generic = both_kernels(_plant_deriv(plant, 0.0, lambda tau: 0.0), 0.0, 1e10, 0.25, 0.1)
+        assert written_out == generic == (DivergenceFault, "non-finite state produced at t=0.25")
+
+    @pytest.mark.parametrize("trip_call", [2, 3])
+    def test_controllability_fault_at_a_middle_stage(self, trip_call):
+        # b falls below the guard on the trip_call-th evaluation only, so the
+        # fault carries that stage's state and time
+        def run(step):
+            calls = []
+
+            def b_eval(x, t):
+                calls.append(t)
+                return 0.0 if len(calls) == trip_call else 1.0 + 0.1 * math.sin(x[1])
+
+            plant = PlantModel(
+                order=2, f_eval=lambda x, t: -x[0] - 0.3 * x[1], b_eval=b_eval, b_min=0.5, name="tripping"
+            )
+            accel = _plant_deriv(plant, 0.7, lambda tau: 0.2 * tau)
+            return kernel_outcome(lambda: step(accel, 0.4, -1.1, 2.0, 0.1))
+
+        written_out, generic = run(_rk4_order2), run(generic_step)
+        assert written_out == generic
+        assert written_out[0] is ControllabilityFault
+        assert written_out[3] == 2.0 + 0.5 * 0.1
+        # the stage's state, not the state the interval started from
+        assert np.array(written_out[2], dtype=np.int64).view(float)[0] != 0.4
 
 
 class TestReferenceAt:
@@ -421,6 +528,60 @@ class TestRunClosedLoop:
         assert traj.terminal_event == "controllability_fault"
         assert len(traj) < 1001
         assert not compute_metrics(traj).bounded
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_one_rhs_per_interval_and_four_calls_per_substep(self, monkeypatch, order):
+        # the traced simulation.rhs metrics wrap simulation._plant_deriv where
+        # integrate_interval looks it up; both kernels must go through it
+        builds, calls = [], []
+        real = simulation._plant_deriv
+
+        def counting(*args, **kwargs):
+            accel = real(*args, **kwargs)
+            builds.append(args)
+
+            def counted(y, tau):
+                calls.append(tau)
+                return accel(y, tau)
+
+            return counted
+
+        monkeypatch.setattr(simulation, "_plant_deriv", counting)
+        plant = PlantModel(
+            order=order,
+            f_eval=lambda x, t: -0.5 * x[0] - 0.2 * x[order - 1],
+            b_eval=lambda x, t: 1.0,
+            b_min=0.5,
+            name=f"linear{order}",
+        )
+        ctrl = ControllerState(gains=binomial_gains(order, 2.0))
+        args = (plant, plant, ctrl, constant_reference(0.2, order), sinusoid_disturbance(0.3, 0.5), 2.0)
+        traj = run_closed_loop(*args, 0.2, 1e-2, 3)
+        assert traj.terminal_event is None and len(traj) == 21
+        assert len(builds) == 20
+        assert len(calls) == 4 * 3 * 20
+        h = 1e-2 / 3
+        assert calls[:4] == [0.0, 0.5 * h, 0.5 * h, h]
+
+    def test_leakage_step_must_decay(self):
+        # dt_ctrl*kappa >= 2 makes the explicit Euler leakage step grow the
+        # weights geometrically (kappa 1e4 overflowed them to inf)
+        def run(kappa):
+            plant = pendulum_plant()
+            net = replace(default_network(9, 1.0, 5.0), leakage=kappa)
+            ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode="compensated", network=net)
+            return run_closed_loop(
+                plant, plant, ctrl, constant_reference(0.0, 2), no_disturbance(), 2.0, 1.0, 1e-3, 1, x0=[0.5, 0.0]
+            )
+
+        for kappa in (1e4, 2000.0):
+            with pytest.raises(ValueError, match=r"kappa: dt_ctrl\*kappa must be < 2"):
+                run(kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(1500.0)
+        assert compute_metrics(traj).bounded
+        assert np.isfinite(traj.w_norm).all()
 
     def test_T_must_be_whole_number_of_dt_ctrl(self):
         # T = 1.0 at dt_ctrl = 0.3 would end the run at t = 0.9
