@@ -1,10 +1,13 @@
 """Experiment configuration: strict JSON loading, validation, and assembly of
 the simulation objects.
 
-The schema is documented in the README. Validation is eager and strict:
-unknown keys are rejected (with a nearest-key suggestion when one is an edit
-away), and every precondition of the inner modules is checked before a run
-starts.
+The schema is documented in the README. This module checks the JSON's shape:
+unknown keys (with a nearest-key suggestion when one is an edit away) and
+required keys, types, finite numbers, integers, and defaults. Every rule on a
+value has one home, the library constructor or helper that owns the value;
+config_from_dict builds the objects eagerly, so each rule runs before a run
+starts, and a library ValueError "key: ..." becomes a ConfigError
+"section.key: ...".
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 
 from .controller import BASELINE, COMPENSATED, ControllerState
 from .dynamics import binomial_gains
@@ -25,13 +29,8 @@ from .plants import (
     pendulum_plant,
     vanderpol_plant,
 )
-from .rbf import _check_leakage_step, default_network
-from .simulation import (
-    DIVERGENCE_LIMIT,
-    REFERENCE_BUILDERS,
-    ReferenceSpec,
-    _control_steps,
-)
+from .rbf import RbfNetwork, _check_leakage_step, default_network
+from .simulation import REFERENCE_BUILDERS, ReferenceSpec, _control_steps, _initial_state
 
 __all__ = ["ExperimentConfig", "ExperimentSetup", "load_config", "config_from_dict", "build_experiment"]
 
@@ -64,6 +63,9 @@ class NetworkConfig:
     eta: float = 5.0
     kappa: float = 0.0
     weight_cap: float | None = None
+
+
+NETWORK_DEFAULTS = {f.name: f.default for f in fields(NetworkConfig)}
 
 
 @dataclass(frozen=True)
@@ -148,23 +150,44 @@ def _reject_unknown(mapping: dict, known, context: str):
             raise ConfigError(f"{context}: unknown key '{key}'{hint}")
 
 
+def _number(val, where: str) -> float:
+    """A JSON number as a finite float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where}: must be a number")
+    try:
+        val = float(val)
+    except OverflowError:
+        # a JSON integer has no size limit
+        raise ConfigError(f"{where}: integer is beyond the float range") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: must be finite")
+    return val
+
+
 def _get_number(mapping: dict, key: str, context: str, default=None, required=False):
     if key not in mapping:
         if required:
             raise ConfigError(f"{context}.{key}: required key is missing")
         return default
-    val = mapping[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{context}.{key}: must be a number")
-    if not math.isfinite(val):
-        raise ConfigError(f"{context}.{key}: must be finite")
-    return float(val)
+    return _number(mapping[key], f"{context}.{key}")
 
 
-def _require_positive(value, key: str, context: str):
-    if not (value > 0.0):
-        raise ConfigError(f"{context}.{key}: must be > 0")
-    return value
+def _get_integer(mapping: dict, key: str, where: str, default: int) -> int:
+    val = mapping.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(f"{where}: must be an integer")
+    return val
+
+
+@contextmanager
+def _keyed(prefix: str):
+    """Re-raise a library ValueError as a ConfigError with prefix in front of
+    its message: under "controller.", GainVector's "lambda: must be > 0"
+    reads "controller.lambda: must be > 0"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _parse_plant(section) -> tuple[str, dict]:
@@ -202,9 +225,7 @@ def _parse_disturbance(section) -> dict:
     for key in keys:
         if key in section:
             if key == "seed":
-                if not isinstance(section[key], int) or isinstance(section[key], bool):
-                    raise ConfigError("disturbance.seed: must be an integer")
-                out[key] = section[key]
+                out[key] = _get_integer(section, key, "disturbance.seed", 0)
             else:
                 out[key] = _get_number(section, key, "disturbance", required=True)
     for key, default in keys.items():
@@ -246,13 +267,15 @@ def _parse_reference(section) -> dict:
 
 def _parse_sinusoid(section: dict, context: str) -> dict:
     """One sinusoid: a sinusoid reference or one component of a sum."""
-    return {
+    out = {
         "amplitude": _get_number(section, "amplitude", context, required=True),
-        "omega": _require_positive(
-            _get_number(section, "omega", context, required=True), "omega", context
-        ),
+        "omega": _get_number(section, "omega", context, required=True),
         "phase": _get_number(section, "phase", context, default=0.0),
     }
+    # the library accepts any finite omega; a config asks for a frequency
+    if not (out["omega"] > 0.0):
+        raise ConfigError(f"{context}.omega: must be > 0")
+    return out
 
 
 def _parse_network(section) -> NetworkConfig:
@@ -260,29 +283,14 @@ def _parse_network(section) -> NetworkConfig:
         return NetworkConfig()
     if not isinstance(section, dict):
         raise ConfigError("controller.network: must be an object")
-    _reject_unknown(
-        section, ("neurons", "s_range", "eta", "kappa", "weight_cap"), "controller.network"
-    )
-    neurons = section.get("neurons", 9)
-    if not isinstance(neurons, int) or isinstance(neurons, bool) or neurons < 1:
-        raise ConfigError("controller.network.neurons: must be an integer >= 1")
-    s_range = _require_positive(
-        _get_number(section, "s_range", "controller.network", default=1.0),
-        "s_range",
-        "controller.network",
-    )
-    eta = _require_positive(
-        _get_number(section, "eta", "controller.network", default=5.0),
-        "eta",
-        "controller.network",
-    )
-    kappa = _get_number(section, "kappa", "controller.network", default=0.0)
-    if kappa < 0.0:
-        raise ConfigError("controller.network.kappa: must be >= 0")
-    cap = _get_number(section, "weight_cap", "controller.network", default=None)
-    if cap is not None:
-        _require_positive(cap, "weight_cap", "controller.network")
-    return NetworkConfig(neurons=neurons, s_range=s_range, eta=eta, kappa=kappa, weight_cap=cap)
+    _reject_unknown(section, NETWORK_DEFAULTS, "controller.network")
+    values = {
+        key: _get_number(section, key, "controller.network", default=default)
+        for key, default in NETWORK_DEFAULTS.items()
+        if key != "neurons"
+    }
+    neurons = _get_integer(section, "neurons", "controller.network.neurons", NETWORK_DEFAULTS["neurons"])
+    return NetworkConfig(neurons=neurons, **values)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -305,49 +313,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("controller: must be an object")
     _reject_unknown(ctrl_section, ("mode", "lambda", "u_limit", "network"), "controller")
     mode = ctrl_section.get("mode", BASELINE)
-    if mode not in (BASELINE, COMPENSATED):
-        raise ConfigError(
-            f"controller.mode: must be '{BASELINE}' or '{COMPENSATED}', got {mode!r}"
-        )
-    lam = _require_positive(
-        _get_number(ctrl_section, "lambda", "controller", default=1.0), "lambda", "controller"
-    )
+    lam = _get_number(ctrl_section, "lambda", "controller", default=1.0)
     u_limit = _get_number(ctrl_section, "u_limit", "controller", default=None)
-    if u_limit is not None:
-        _require_positive(u_limit, "u_limit", "controller")
     network = _parse_network(ctrl_section.get("network"))
 
     sim_section = raw.get("simulation", {})
     if not isinstance(sim_section, dict):
         raise ConfigError("simulation: must be an object")
     _reject_unknown(sim_section, ("T", "dt_ctrl", "substeps", "x0"), "simulation")
-    T = _require_positive(
-        _get_number(sim_section, "T", "simulation", default=10.0), "T", "simulation"
-    )
-    dt_ctrl = _require_positive(
-        _get_number(sim_section, "dt_ctrl", "simulation", default=1e-3), "dt_ctrl", "simulation"
-    )
-    try:
-        _control_steps(T, dt_ctrl)
-    except ValueError as exc:
-        raise ConfigError(f"simulation.{exc}") from exc
-    try:
-        _check_leakage_step(network.kappa, dt_ctrl)
-    except ValueError as exc:
-        raise ConfigError(f"controller.network.{exc}") from exc
-    substeps = sim_section.get("substeps", 1)
-    if not isinstance(substeps, int) or isinstance(substeps, bool) or substeps < 1:
-        raise ConfigError("simulation.substeps: must be an integer >= 1")
+    T = _get_number(sim_section, "T", "simulation", default=10.0)
+    dt_ctrl = _get_number(sim_section, "dt_ctrl", "simulation", default=1e-3)
+    substeps = _get_integer(sim_section, "substeps", "simulation.substeps", 1)
     x0 = sim_section.get("x0")
     if x0 is not None:
-        if not isinstance(x0, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in x0
-        ):
-            raise ConfigError("simulation.x0: must be a list of finite numbers")
-        if any(abs(v) > DIVERGENCE_LIMIT for v in x0):
-            raise ConfigError(f"simulation.x0: entries must not exceed {DIVERGENCE_LIMIT:.0e} in magnitude")
-        x0 = tuple(float(v) for v in x0)
+        if not isinstance(x0, list):
+            raise ConfigError("simulation.x0: must be a list of numbers")
+        x0 = tuple(_number(v, f"simulation.x0[{i}]") for i, v in enumerate(x0))
 
     out_section = raw.get("output")
     out_dir = None
@@ -359,9 +340,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError("output.dir: must be a string")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed: must be an integer")
+    seed = _get_integer(raw, "seed", "seed", 0)
     name = raw.get("name", "experiment")
     if not isinstance(name, str):
         raise ConfigError("name: must be a string")
@@ -383,7 +362,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         name=name,
     )
-    # assembling the objects runs every remaining module precondition eagerly
+    # assembling the objects runs every value rule; compare runs both modes,
+    # so the network is built here when the configured mode does not build it
+    if mode != COMPENSATED:
+        _build_network(cfg)
     build_experiment(cfg)
     return cfg
 
@@ -420,32 +402,35 @@ def _build_reference(spec: dict, order: int) -> ReferenceSpec:
     return REFERENCE_BUILDERS[spec["kind"]](**params, order=order)
 
 
+def _build_network(cfg: ExperimentConfig) -> RbfNetwork:
+    net = cfg.network
+    with _keyed("controller.network."):
+        _check_leakage_step(net.kappa, cfg.dt_ctrl)
+        return replace(
+            default_network(net.neurons, net.s_range, net.eta), leakage=net.kappa, weight_cap=net.weight_cap
+        )
+
+
 def build_experiment(cfg: ExperimentConfig, mode: str | None = None) -> ExperimentSetup:
     """Assemble plants, controller, reference and disturbance from a config.
 
     `mode` overrides the configured controller mode (used by compare runs).
     """
-    try:
+    with _keyed("plant.params: "):
         plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
-    except ValueError as exc:
-        raise ConfigError(f"plant.params: {exc}") from exc
-    if cfg.x0 is not None and len(cfg.x0) != plant.order:
-        raise ConfigError(f"simulation.x0: must have {plant.order} entries for this plant")
     mode = cfg.mode if mode is None else mode
-    try:
+    network = _build_network(cfg) if mode == COMPENSATED else None
+    with _keyed("controller."):
         gains = binomial_gains(plant.order, cfg.lam)
-    except ValueError as exc:
-        raise ConfigError(f"controller.lambda: {exc}") from exc
-    try:
-        network = None
-        if mode == COMPENSATED:
-            net = default_network(cfg.network.neurons, cfg.network.s_range, cfg.network.eta)
-            network = replace(net, leakage=cfg.network.kappa, weight_cap=cfg.network.weight_cap)
+        ctrl = ControllerState(gains=gains, mode=mode, network=network, u_limit=cfg.u_limit)
+    with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)
+    with _keyed("disturbance."):
         dist = _build_disturbance(cfg.disturbance, cfg.seed, cfg.dt_ctrl)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ctrl = ControllerState(gains=gains, mode=mode, network=network, u_limit=cfg.u_limit)
+    with _keyed("simulation."):
+        _control_steps(cfg.T, cfg.dt_ctrl, cfg.substeps)
+        if cfg.x0 is not None:
+            _initial_state(cfg.x0, plant.order)
     return ExperimentSetup(
         truth=plant,
         nominal=plant,

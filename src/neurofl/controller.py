@@ -43,11 +43,11 @@ class ControllerState:
 
     def __post_init__(self):
         if self.mode not in (BASELINE, COMPENSATED):
-            raise ConfigError(f"mode must be '{BASELINE}' or '{COMPENSATED}', got '{self.mode}'")
+            raise ConfigError(f"mode: must be '{BASELINE}' or '{COMPENSATED}', got {self.mode!r}")
         if self.mode == COMPENSATED and self.network is None:
             raise ConfigError("compensated mode requires a network")
         if self.u_limit is not None and not (self.u_limit > 0.0):
-            raise ConfigError("u_limit must be > 0 when set")
+            raise ConfigError("u_limit: must be > 0 when set")
         if not hurwitz_check(self.gains.char_polynomial()):
             raise ConfigError("controller gains do not form a Hurwitz error polynomial")
 
@@ -98,6 +98,10 @@ def _control_law(ctrl: ControllerState, plant_nominal: PlantModel, x, x_d, xd_n,
     if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
         u = math.copysign(ctrl.u_limit, u)
         event = EVENT_SATURATION if event == "" else f"{EVENT_SATURATION};{event}"
+    # the plant's own arithmetic (math.sin, say) may fail on a non-finite u
+    # before the integrator's finite check does
+    if not math.isfinite(u):
+        raise DivergenceFault(f"control input u={u} is not finite at t={t:.6g}")
     return u, s, d_hat, w_norm, w, event
 
 

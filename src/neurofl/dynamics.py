@@ -114,7 +114,7 @@ class GainVector:
         if self.order < 1:
             raise ValueError("gain order must be >= 1")
         if not (self.lam > 0.0):
-            raise ValueError("lambda must be > 0")
+            raise ValueError("lambda: must be > 0")
         arr = _readonly_array(self.gains, "gains")
         if arr.size != self.order:
             raise ValueError("gain count must equal order")
@@ -141,17 +141,14 @@ def binomial_coefficient(n: int, i: int) -> int:
 
 
 def binomial_gains(n: int, lam: float) -> GainVector:
-    """Gains that place all n closed-loop error poles at -lam."""
-    if n < 1:
-        raise ValueError("plant order must be >= 1")
-    if not (lam > 0.0):
-        raise ValueError("lambda must be > 0")
+    """Gains that place all n closed-loop error poles at -lam; GainVector
+    checks n and lam."""
     try:
         gains = np.array(
             [binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float
         )
     except OverflowError as exc:
-        raise ValueError(f"lambda={lam:g} gives order-{n} gains beyond the float range") from exc
+        raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains beyond the float range") from exc
     return GainVector(lam=float(lam), order=n, gains=gains)
 
 

@@ -116,18 +116,18 @@ class DisturbanceSpec:
         if self.kind not in DISTURBANCE_BUILDERS:
             raise ValueError(f"unknown disturbance kind '{self.kind}'")
         if self.bound < 0.0 or not math.isfinite(self.bound):
-            raise ValueError("bound must be a finite value >= 0")
+            raise ValueError("bound: must be a finite value >= 0")
         if self.kind == "constant" and abs(self.offset) > self.bound:
-            raise ValueError("constant offset exceeds the stated bound")
+            raise ValueError(f"offset: |offset| exceeds the stated bound {self.bound:g}")
         if self.kind == "sinusoid" and abs(self.amplitude) > self.bound:
-            raise ValueError("sinusoid amplitude exceeds the stated bound")
+            raise ValueError(f"amplitude: |amplitude| exceeds the stated bound {self.bound:g}")
         if self.kind == "band-limited-noise":
             if not (self.cutoff_hz > 0.0):
-                raise ValueError("cutoff_hz must be > 0 for noise")
+                raise ValueError("cutoff_hz: must be > 0 for noise")
             if not (self.sample_dt > 0.0):
-                raise ValueError("sample_dt must be > 0 for noise")
+                raise ValueError("sample_dt: must be > 0 for noise")
             if self.amplitude < 0.0:
-                raise ValueError("noise amplitude must be >= 0")
+                raise ValueError("amplitude: must be >= 0 for noise")
 
 
 def no_disturbance() -> DisturbanceSpec:

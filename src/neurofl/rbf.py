@@ -50,12 +50,13 @@ class RbfNetwork:
             raise ValueError("all widths must be strictly positive")
         if centers.size > 1 and not np.all(np.diff(centers) > 0.0):
             raise ValueError("centers must be strictly increasing")
+        # messages name the config keys: eta is the learning rate, kappa the leakage
         if not (self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be > 0")
+            raise ValueError("eta: must be > 0")
         if self.leakage < 0.0:
-            raise ValueError("leakage must be >= 0")
+            raise ValueError("kappa: must be >= 0")
         if self.weight_cap is not None and not (self.weight_cap > 0.0):
-            raise ValueError("weight_cap must be > 0 when set")
+            raise ValueError("weight_cap: must be > 0 when set")
         for name, arr in (("centers", centers), ("widths", widths), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -134,14 +135,13 @@ def default_network(neuron_count: int, s_range: float, eta: float) -> RbfNetwork
 
     Widths equal the center spacing (s_range itself for a single neuron), so
     neighbouring bases overlap at exp(-1/2). Zero initial weights make the
-    compensated controller coincide with the baseline at t = 0.
+    compensated controller coincide with the baseline at t = 0. RbfNetwork
+    checks eta.
     """
     if neuron_count < 1:
-        raise ValueError("neuron_count must be >= 1")
+        raise ValueError("neurons: must be >= 1")
     if not (s_range > 0.0):
-        raise ValueError("s_range must be > 0")
-    if not (eta > 0.0):
-        raise ValueError("eta must be > 0")
+        raise ValueError("s_range: must be > 0")
     if neuron_count == 1:
         centers = np.array([0.0])
         width = s_range

@@ -66,15 +66,18 @@ class ReferenceSpec:
             raise ValueError("sinusoidal reference needs at least one component")
         if not math.isfinite(self.level):
             raise ValueError("reference level must be finite")
-        object.__setattr__(self, "_terms", _sinusoid_terms(self.components, self.order))
+        # the key a config names: with a finite amplitude, a sinusoid's A w^k
+        # overflows through omega
+        key = "omega" if self.kind == "sinusoid" else "components"
+        object.__setattr__(self, "_terms", _sinusoid_terms(self.components, self.order, key))
 
 
-def _sinusoid_terms(components, order: int) -> tuple:
+def _sinusoid_terms(components, order: int, key: str) -> tuple:
     """(omega, phase, ((A w^k, k pi/2) for k = 0..order)) per component.
 
-    Raises ValueError unless every phase and, for every k, the sum of |A w^k|
-    over the components are finite. That sum bounds |x_d^(k)(t)|, and a
-    non-finite omega makes it non-finite for k = 1.
+    Raises ValueError, naming key, unless every phase and, for every k, the
+    sum of |A w^k| over the components are finite. That sum bounds
+    |x_d^(k)(t)|, and a non-finite omega makes it non-finite for k = 1.
     """
     try:
         terms = tuple(
@@ -86,7 +89,7 @@ def _sinusoid_terms(components, order: int) -> tuple:
         bounds = [math.inf]
     phases = [phase for _, _, phase in components]
     if not all(math.isfinite(v) for v in bounds + phases):
-        raise ValueError(f"reference components must give finite derivatives up to order {order}")
+        raise ValueError(f"{key}: must give finite derivatives up to order {order}")
     return terms
 
 
@@ -114,13 +117,10 @@ REFERENCE_BUILDERS = {
 
 
 def _reference_values(spec: ReferenceSpec, t: float) -> tuple[np.ndarray, float]:
-    """Raw reference state [x_d, ..., x_d^(n-1)] and x_d^(n) at t >= 0."""
+    """Raw reference state [x_d, ..., x_d^(n-1)] and x_d^(n) at t >= 0: the
+    level plus the sinusoidal components, for every kind."""
     n = spec.order
-    if spec.kind == "constant":
-        values = np.zeros(n)
-        values[0] = spec.level
-        return values, 0.0
-    derivs = [0.0] * (n + 1)
+    derivs = [spec.level] + [0.0] * n
     for omega, phase, coefs in spec._terms:
         angle = omega * t + phase
         for k, (coef, shift) in enumerate(coefs):
@@ -269,13 +269,33 @@ def integrate_interval(
     return np.array(y)
 
 
-def _control_steps(T: float, dt_ctrl: float) -> int:
-    """Number of control intervals in [0, T]. T must be within 1e-9
-    intervals of a whole number of dt_ctrl, so that no remainder is cut off."""
+def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
+    """Number of control intervals in [0, T], each of `substeps` RK4 steps.
+    T must be within 1e-9 intervals of a whole number of dt_ctrl, so that no
+    remainder is cut off."""
+    if not (T > 0.0):
+        raise ValueError("T: must be > 0")
+    if not (dt_ctrl > 0.0):
+        raise ValueError("dt_ctrl: must be > 0")
+    if substeps < 1:
+        raise ValueError("substeps: must be >= 1")
     steps = int(math.floor(T / dt_ctrl + 1e-9))
     if T / dt_ctrl - steps > 1e-9:
         raise ValueError(f"T: must be a whole number of dt_ctrl ({dt_ctrl:g}), got {T:g}")
     return steps
+
+
+def _initial_state(x0, n: int) -> np.ndarray:
+    """x0 as a new float array of the n entries of an order-n state, each
+    finite and within the divergence limit."""
+    y = np.array(x0, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"x0: must have {n} entries for this plant")
+    if not np.isfinite(y).all():
+        raise ValueError("x0: entries must be finite")
+    if np.abs(y).max() > DIVERGENCE_LIMIT:
+        raise ValueError(f"x0: entries must not exceed {DIVERGENCE_LIMIT:.0e} in magnitude, the divergence limit")
+    return y
 
 
 def run_closed_loop(
@@ -298,12 +318,7 @@ def run_closed_loop(
     (in compensated mode) the weights take one adaptation step. A fault ends
     the run early with the partial trajectory and a terminal event.
     """
-    if not (T > 0.0):
-        raise ValueError("T must be > 0")
-    if not (dt_ctrl > 0.0):
-        raise ValueError("dt_ctrl must be > 0")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    steps = _control_steps(T, dt_ctrl, substeps)
     if truth.order != nominal.order:
         raise ValueError("truth and nominal plant orders differ")
     if ref.order != truth.order:
@@ -316,19 +331,8 @@ def run_closed_loop(
         _check_leakage_step(ctrl.network.leakage, dt_ctrl)
 
     n = truth.order
-    steps = _control_steps(T, dt_ctrl)
     count = steps + 1
-
-    if x0 is None:
-        y = _reference_values(ref, 0.0)[0]
-    else:
-        y = np.asarray(x0, dtype=float).copy()
-        if y.shape != (n,):
-            raise ValueError(f"x0 must have {n} entries")
-        if not np.isfinite(y).all():
-            raise ValueError("state values must all be finite")
-        if np.abs(y).max() > DIVERGENCE_LIMIT:
-            raise ValueError(f"x0 magnitude must not exceed the divergence limit {DIVERGENCE_LIMIT:.0e}")
+    y = _reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)
 
     t_arr = np.empty(count)
     x_arr = np.empty((count, n))
@@ -456,7 +460,7 @@ def ideal_disturbance_plant(
     filt = _filter_weights(base.order, lam)
     w_target = target.weights
     base_f = base.f_eval
-    if ref.kind == "constant":
+    if not ref.components:
         xd_const = _reference_values(ref, 0.0)[0]
         ref_vals = lambda t: xd_const
     else:

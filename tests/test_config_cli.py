@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -22,6 +24,74 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+NOISE = {"kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5.0}
+
+# One row per value rule: the dotted key its message begins with, the one
+# function that raises it (module.Class for a constructor's check), and the
+# sections that break it. Config checks only the JSON's shape and names the
+# key of a library ValueError.
+VALUE_RULES = [
+    ("controller.lambda", "dynamics.GainVector", {"controller": {"lambda": 0.0}}),
+    ("controller.mode", "controller.ControllerState", {"controller": {"mode": "adaptive"}}),
+    ("controller.u_limit", "controller.ControllerState", {"controller": {"u_limit": -1.0}}),
+    ("controller.network.eta", "rbf.RbfNetwork", {"controller": {"network": {"eta": 0.0}}}),
+    ("controller.network.kappa", "rbf.RbfNetwork", {"controller": {"network": {"kappa": -0.5}}}),
+    ("controller.network.weight_cap", "rbf.RbfNetwork", {"controller": {"network": {"weight_cap": 0.0}}}),
+    ("controller.network.neurons", "rbf.default_network", {"controller": {"network": {"neurons": 0}}}),
+    ("controller.network.s_range", "rbf.default_network", {"controller": {"network": {"s_range": -1.0}}}),
+    ("simulation.T", "simulation._control_steps", {"simulation": {"T": 0.0}}),
+    ("simulation.dt_ctrl", "simulation._control_steps", {"simulation": {"dt_ctrl": -1e-3}}),
+    ("simulation.substeps", "simulation._control_steps", {"simulation": {"substeps": 0}}),
+    ("simulation.x0", "simulation._initial_state", {"simulation": {"x0": [0.1]}}),
+    ("simulation.x0", "simulation._initial_state", {"simulation": {"x0": [2e9, 0.0]}}),
+    ("disturbance.offset", "plants.DisturbanceSpec", {"disturbance": {"kind": "constant", "offset": 1, "bound": 0.5}}),
+    (
+        "disturbance.amplitude",
+        "plants.DisturbanceSpec",
+        {"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "frequency_hz": 1.0, "bound": 0.5}},
+    ),
+    ("disturbance.cutoff_hz", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "cutoff_hz": 0}}),
+    ("disturbance.amplitude", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "amplitude": -0.1}}),
+    ("disturbance.sample_dt", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "sample_dt": 0}}),
+    ("disturbance.bound", "plants.DisturbanceSpec", {"disturbance": {"kind": "constant", "offset": 0.0, "bound": -1.0}}),
+    ("reference.omega", "simulation._sinusoid_terms", {"reference": {"kind": "sinusoid", "amplitude": 1.0, "omega": 1e200}}),
+    (
+        "reference.components",
+        "simulation._sinusoid_terms",
+        {"reference": {"kind": "sum-of-sinusoids", "components": [{"amplitude": 1.0, "omega": 1e200}]}},
+    ),
+    # a JSON integer has no size limit, and this one is beyond the float range
+    ("controller.lambda", "config._number", {"controller": {"lambda": 10**400}}),
+]
+
+
+def raised_in(exc: BaseException) -> str:
+    """module.function where exc was raised, or module.Class for a check in
+    a dataclass's __post_init__."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    name = code.co_name
+    if name == "__post_init__":
+        name = type(tb.tb_frame.f_locals["self"]).__name__
+    return f"{Path(code.co_filename).stem}.{name}"
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+@pytest.mark.parametrize(
+    "key, home, sections", VALUE_RULES, ids=[f"{i}-{key}" for i, (key, _, _) in enumerate(VALUE_RULES)]
+)
+def test_value_rule_has_one_home_and_names_its_key(key, home, sections, mode):
+    raw = minimal_config(**copy.deepcopy(sections))
+    raw.setdefault("controller", {}).setdefault("mode", mode)
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(f"{key}: "), str(exc.value)
+    # a library rule reaches config as the cause of the ConfigError
+    assert raised_in(exc.value.__cause__ or exc.value) == home
 
 
 class TestConfigValidation:
@@ -132,6 +202,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"simulation\.x0"):
             config_from_dict(minimal_config(simulation={"x0": [0.0, -1.5e9]}))
         assert config_from_dict(minimal_config(simulation={"x0": [1e9, -1e9]})).x0 == (1e9, -1e9)
+
+    def test_integer_beyond_float_range_names_key(self, tmp_path):
+        # float() of a 401-digit JSON integer raises OverflowError
+        huge = 10**400
+        cases = (
+            ("controller.lambda", {"controller": {"lambda": huge}}),
+            ("plant.params.m", {"plant": {"name": "pendulum", "params": {"m": huge}}}),
+            ("simulation.x0[1]", {"simulation": {"x0": [0.0, -huge]}}),
+        )
+        for key, sections in cases:
+            path = write_config(tmp_path, minimal_config(**sections))
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: integer is beyond the float range$"):
+                load_config(path)
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError, match="seed"):

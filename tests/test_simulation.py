@@ -22,6 +22,7 @@ from neurofl.plants import (
 )
 from neurofl.rbf import RbfNetwork, activations, default_network
 from neurofl.simulation import (
+    ReferenceSpec,
     Trajectory,
     _plant_deriv,
     _rk4,
@@ -264,6 +265,22 @@ class TestReferenceAt:
             assert x_d.values.tolist() == expected[:n]
             assert xd_n == expected[n]
 
+    def test_level_offsets_every_kind(self):
+        # x_d = level + the components' sum, whatever the kind
+        comps = ((1.0, 1.0, 0.0),)
+        spec = ReferenceSpec(kind="sinusoid", order=2, level=2.0, components=comps)
+        x_d, xd_n = reference_at(spec, 0.0)
+        assert x_d.values.tolist() == [2.0, 1.0]
+        assert xd_n == math.sin(math.pi)
+        plain = sinusoid_reference(*comps[0], 2)
+        for kind in ("constant", "sinusoid", "sum-of-sinusoids"):
+            spec = ReferenceSpec(kind=kind, order=2, level=-0.5, components=comps)
+            for t in (0.0, 0.7, 3.1):
+                x_d, xd_n = reference_at(spec, t)
+                want, want_n = reference_at(plain, t)
+                assert x_d.values.tolist() == [want[0] - 0.5, want[1]]
+                assert xd_n == want_n
+
 
 class TestRunClosedLoop:
     def test_zero_everything_stays_zero(self):
@@ -421,6 +438,26 @@ class TestRunClosedLoop:
         assert traj.terminal_event == "divergence"
         assert traj.event == ["divergence"]
         assert np.isnan(traj.u[0])
+
+    def test_non_finite_control_input_is_divergence(self):
+        # baseline, lam = 1e150: the feedback 1e300 * 1e9 overflows np.dot to
+        # u = -inf, which math.sin in the pendulum's f would reject inside RK4
+        cfg = config_from_dict(
+            {
+                "plant": {"name": "pendulum"},
+                "controller": {"mode": "baseline", "lambda": 1e150},
+                "simulation": {"T": 0.01, "dt_ctrl": 1e-3, "x0": [1e9, 0.0]},
+            }
+        )
+        setup = build_experiment(cfg)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            traj = run_closed_loop(
+                setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
+                setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
+            )
+        assert traj.terminal_event == "divergence"
+        assert traj.event == ["divergence"]
+        assert np.isnan(traj.u[0]) and np.isnan(traj.s[0])
 
     def test_non_finite_adapted_weights_are_divergence(self):
         # s = 2e9 and eta = 1e300: eta*s overflows and inf*phi(s) would be NaN
