@@ -4,7 +4,8 @@ and a configuration-driven experiment CLI."""
 
 __version__ = "0.1.0"
 
-from .controller import BASELINE, COMPENSATED, ControllerState, StepLog, control_step
+from .config import BASELINE, COMPENSATED
+from .controller import ControllerState, StepLog, control_step
 from .dynamics import (
     CharPolynomial,
     GainVector,

@@ -11,12 +11,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, build_experiment, load_config
-from .controller import BASELINE, COMPENSATED
+from .config import BASELINE, COMPENSATED, ExperimentConfig, build_experiment, load_config
 from .errors import ConfigError
 from .simulation import Metrics, Trajectory, compute_metrics, run_closed_loop
 
@@ -54,8 +53,14 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json_value(value):
+    """A non-finite float as the string "inf", "-inf" or "nan", which strict
+    JSON has no number for; any other value as it is."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _metrics_dict(metrics: Metrics, traj: Trajectory) -> dict:
-    out = asdict(metrics)
+    out = {key: _json_value(value) for key, value in asdict(metrics).items()}
     out["terminal_event"] = traj.terminal_event
     out["records"] = len(traj)
     return out
@@ -115,7 +120,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out_dir / "trajectory.csv")
         (out_dir / "metrics.json").write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+            json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8"
         )
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -140,26 +145,26 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     baseline.csv, compensated.csv and compare_metrics.json."""
     results = {}
     for mode in (BASELINE, COMPENSATED):
-        setup = build_experiment(cfg, mode=mode)
+        setup = build_experiment(replace(cfg, mode=mode))
         traj = _run_setup(setup)
         results[mode] = (traj, compute_metrics(traj))
 
     summaries = {mode: _metrics_dict(m, t) for mode, (t, m) in results.items()}
     ratio = sse_ratio(
-        summaries[BASELINE]["steady_state_error"],
-        summaries[COMPENSATED]["steady_state_error"],
+        results[BASELINE][1].steady_state_error,
+        results[COMPENSATED][1].steady_state_error,
     )
     combined = {
         "baseline": summaries[BASELINE],
         "compensated": summaries[COMPENSATED],
-        "sse_ratio": ratio if math.isfinite(ratio) else "inf",
+        "sse_ratio": _json_value(ratio),
     }
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for mode, (traj, _) in results.items():
             write_trajectory_csv(traj, out_dir / f"{mode}.csv")
         (out_dir / "compare_metrics.json").write_text(
-            json.dumps(combined, indent=2) + "\n", encoding="utf-8"
+            json.dumps(combined, indent=2, allow_nan=False) + "\n", encoding="utf-8"
         )
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -2,12 +2,12 @@
 the simulation objects.
 
 The schema is documented in the README. This module checks the JSON's shape:
-unknown keys (with a nearest-key suggestion when one is an edit away) and
-required keys, types, finite numbers, integers, and defaults. Every rule on a
-value has one home, the library constructor or helper that owns the value;
-config_from_dict builds the objects eagerly, so each rule runs before a run
-starts, and a library ValueError "key: ..." becomes a ConfigError
-"section.key: ...".
+repeated and unknown keys (with a nearest-key suggestion when one is an edit
+away), required keys, enums, types, finite numbers, integers, and defaults.
+Every rule on a value has one home, the library constructor or helper that
+owns the value; config_from_dict builds the objects eagerly, so each rule runs
+before a run starts, and a library ValueError "key: ..." becomes a
+ConfigError "section.key: ...".
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
-from .controller import BASELINE, COMPENSATED, ControllerState
+from .controller import ControllerState
 from .dynamics import binomial_gains
 from .errors import ConfigError
 from .plants import (
@@ -29,10 +29,14 @@ from .plants import (
     pendulum_plant,
     vanderpol_plant,
 )
-from .rbf import RbfNetwork, _check_leakage_step, default_network
+from .rbf import _check_leakage_step, default_network
 from .simulation import REFERENCE_BUILDERS, ReferenceSpec, _control_steps, _initial_state
 
 __all__ = ["ExperimentConfig", "ExperimentSetup", "load_config", "config_from_dict", "build_experiment"]
+
+# controller modes: a compensated run's controller holds the network
+BASELINE = "baseline"
+COMPENSATED = "compensated"
 
 PLANT_BUILDERS = {
     "pendulum": pendulum_plant,
@@ -142,12 +146,27 @@ def _edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
+class _JsonObject(dict):
+    """A parsed JSON object; repeated is the first key its text gives twice,
+    which a plain dict would keep silently, with the last value given."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = next((key for i, key in enumerate(keys) if key in keys[:i]), None)
+
+
 def _reject_unknown(mapping: dict, known, context: str):
+    """Reject a key that load_config read twice or that is not in known;
+    context is the mapping's dotted key, "" at the root."""
+    if getattr(mapping, "repeated", None) is not None:
+        key = f"{context}.{mapping.repeated}" if context else mapping.repeated
+        raise ConfigError(f"{key}: key is given more than once")
     for key in mapping:
         if key not in known:
             close = [k for k in known if _edit_distance(key, k) == 1]
             hint = f"; did you mean '{close[0]}'?" if close else ""
-            raise ConfigError(f"{context}: unknown key '{key}'{hint}")
+            raise ConfigError(f"{context or 'config root'}: unknown key '{key}'{hint}")
 
 
 def _number(val, where: str) -> float:
@@ -203,9 +222,9 @@ def _parse_plant(section) -> tuple[str, dict]:
     given = section.get("params", {})
     if not isinstance(given, dict):
         raise ConfigError("plant.params: must be an object")
-    _reject_unknown(given, tuple(params), f"plant.params ({name})")
+    _reject_unknown(given, tuple(params), "plant.params")
     for key in given:
-        params[key] = _get_number(given, key, f"plant.params", required=True)
+        params[key] = _get_number(given, key, "plant.params", required=True)
     return name, params
 
 
@@ -298,9 +317,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root: must be an object")
     _reject_unknown(
-        raw,
-        ("name", "seed", "plant", "disturbance", "reference", "controller", "simulation", "output"),
-        "config root",
+        raw, ("name", "seed", "plant", "disturbance", "reference", "controller", "simulation", "output"), ""
     )
     if "plant" not in raw:
         raise ConfigError("plant: required section is missing")
@@ -313,6 +330,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("controller: must be an object")
     _reject_unknown(ctrl_section, ("mode", "lambda", "u_limit", "network"), "controller")
     mode = ctrl_section.get("mode", BASELINE)
+    if mode not in (BASELINE, COMPENSATED):
+        raise ConfigError(f"controller.mode: must be one of {[BASELINE, COMPENSATED]}, got {mode!r}")
     lam = _get_number(ctrl_section, "lambda", "controller", default=1.0)
     u_limit = _get_number(ctrl_section, "u_limit", "controller", default=None)
     network = _parse_network(ctrl_section.get("network"))
@@ -362,10 +381,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         name=name,
     )
-    # assembling the objects runs every value rule; compare runs both modes,
-    # so the network is built here when the configured mode does not build it
-    if mode != COMPENSATED:
-        _build_network(cfg)
+    # assembling the objects runs every value rule
     build_experiment(cfg)
     return cfg
 
@@ -378,7 +394,7 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -402,27 +418,22 @@ def _build_reference(spec: dict, order: int) -> ReferenceSpec:
     return REFERENCE_BUILDERS[spec["kind"]](**params, order=order)
 
 
-def _build_network(cfg: ExperimentConfig) -> RbfNetwork:
+def build_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
+    """Assemble plants, controller, reference and disturbance from a config.
+
+    The network is built, and so checked, in either mode, since compare runs
+    both; the controller holds it only in compensated mode.
+    """
+    with _keyed("plant.params."):
+        plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
     net = cfg.network
     with _keyed("controller.network."):
         _check_leakage_step(net.kappa, cfg.dt_ctrl)
-        return replace(
-            default_network(net.neurons, net.s_range, net.eta), leakage=net.kappa, weight_cap=net.weight_cap
-        )
-
-
-def build_experiment(cfg: ExperimentConfig, mode: str | None = None) -> ExperimentSetup:
-    """Assemble plants, controller, reference and disturbance from a config.
-
-    `mode` overrides the configured controller mode (used by compare runs).
-    """
-    with _keyed("plant.params: "):
-        plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
-    mode = cfg.mode if mode is None else mode
-    network = _build_network(cfg) if mode == COMPENSATED else None
+        network = default_network(net.neurons, net.s_range, net.eta)
+        network = replace(network, leakage=net.kappa, weight_cap=net.weight_cap)
     with _keyed("controller."):
         gains = binomial_gains(plant.order, cfg.lam)
-        ctrl = ControllerState(gains=gains, mode=mode, network=network, u_limit=cfg.u_limit)
+        ctrl = ControllerState(gains, network if cfg.mode == COMPENSATED else None, cfg.u_limit)
     with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)
     with _keyed("disturbance."):

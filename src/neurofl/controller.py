@@ -1,8 +1,9 @@
 """The sampled feedback-linearization control law, with and without RBF
 compensation.
 
-Both modes share one arithmetic path for u, so the compensated mode with zero
-weights reproduces the baseline bit for bit.
+A controller compensates exactly when it holds a network. Both cases share
+one arithmetic path for u, so a network with zero weights reproduces the
+uncompensated law bit for bit.
 """
 
 from __future__ import annotations
@@ -12,23 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import GainVector, StateVector, hurwitz_check
+from .dynamics import GainVector, StateVector
 # unused here, but bench/child.py traces them at this call site (ROADMAP item 9)
 from .dynamics import filtered_error, tracking_error  # noqa: F401
-from .errors import ConfigError, ControllabilityFault, DivergenceFault
+from .errors import ControllabilityFault, DivergenceFault
 from .plants import PlantModel
 from .rbf import RbfNetwork, _adapt_with_phi, activations
 
-__all__ = [
-    "BASELINE",
-    "COMPENSATED",
-    "ControllerState",
-    "StepLog",
-    "control_step",
-]
-
-BASELINE = "baseline"
-COMPENSATED = "compensated"
+__all__ = ["ControllerState", "StepLog", "control_step"]
 
 EVENT_SATURATION = "saturation"
 EVENT_WEIGHT_CAP = "weight_cap"
@@ -36,20 +28,16 @@ EVENT_WEIGHT_CAP = "weight_cap"
 
 @dataclass(frozen=True, eq=False)
 class ControllerState:
+    """Gains from lambda, the compensating network (None: no compensation),
+    and an optional limit on |u|."""
+
     gains: GainVector
-    mode: str = BASELINE
     network: RbfNetwork | None = None
     u_limit: float | None = None
 
     def __post_init__(self):
-        if self.mode not in (BASELINE, COMPENSATED):
-            raise ConfigError(f"mode: must be '{BASELINE}' or '{COMPENSATED}', got {self.mode!r}")
-        if self.mode == COMPENSATED and self.network is None:
-            raise ConfigError("compensated mode requires a network")
         if self.u_limit is not None and not (self.u_limit > 0.0):
-            raise ConfigError("u_limit: must be > 0 when set")
-        if not hurwitz_check(self.gains.char_polynomial()):
-            raise ConfigError("controller gains do not form a Hurwitz error polynomial")
+            raise ValueError("u_limit: must be > 0 when set")
 
 
 @dataclass(frozen=True)
@@ -68,7 +56,7 @@ class StepLog:
 def _control_law(ctrl: ControllerState, plant_nominal: PlantModel, x, x_d, xd_n, t, dt_ctrl, w):
     """control_step's law on raw arrays of equal length, nothing validated, with
     the network weights w passed in and (u, s, d_hat, w_norm, adapted w, event)
-    returned; w is returned as it came outside compensated mode."""
+    returned; w is returned as it came when there is no network."""
     f_val = plant_nominal.f_eval(x, t)
     b_val = plant_nominal.b_eval(x, t)
     if abs(b_val) < plant_nominal.b_min:
@@ -80,8 +68,8 @@ def _control_law(ctrl: ControllerState, plant_nominal: PlantModel, x, x_d, xd_n,
     d_hat = w_norm = 0.0
     xt = x - x_d
     s = float(np.dot(ctrl.gains.filter_weights, xt))
-    if ctrl.mode == COMPENSATED:
-        net = ctrl.network
+    net = ctrl.network
+    if net is not None:
         try:
             phi = activations(net, s)
         except OverflowError as exc:
@@ -116,10 +104,9 @@ def control_step(
 ) -> tuple[float, ControllerState, StepLog]:
     """One sampled control update: evaluate the nominal model and compute
     u = (-f + xd_n - sum_i k_i * err_i - d_hat) / b, clamped to u_limit,
-    where d_hat is the network's output (0 in baseline mode); in compensated
-    mode the weights then take one adaptation step with the same s. Returns
-    the input, the successor controller (ctrl itself in baseline mode), and
-    the log.
+    where d_hat is the network's output (0 without a network); the network's
+    weights then take one adaptation step with the same s. Returns the input,
+    the successor controller (ctrl itself without a network), and the log.
 
     x and x_d are StateVectors or raw arrays of the same length; raw arrays
     are trusted to be finite. run_closed_loop runs the same law, keeping the
@@ -136,6 +123,6 @@ def control_step(
     except ControllabilityFault as exc:
         exc.state = x  # the caller's object, not the raw values
         raise
-    if ctrl.mode == COMPENSATED:
+    if ctrl.network is not None:
         ctrl = replace(ctrl, network=replace(ctrl.network, weights=w))
     return u, ctrl, StepLog(t=t, u=u, s=s, d_hat=d_hat, w_norm=w_norm, event=event)

@@ -103,27 +103,34 @@ class GainVector:
     error derivative, so the error characteristic polynomial is (p + lam)^n.
 
     filter_weights holds the combined-error weights C(n-1, i) * lam^(n-1-i)
-    for the same lam, computed once here rather than at every sample."""
+    for the same lam. Both are computed once here, from lam and the order."""
 
     lam: float
     order: int
-    gains: np.ndarray
+    gains: np.ndarray = field(init=False)
     filter_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.order < 1:
+        n, lam = self.order, self.lam
+        if n < 1:
             raise ValueError("gain order must be >= 1")
-        if not (self.lam > 0.0):
+        if not (lam > 0.0):
             raise ValueError("lambda: must be > 0")
-        arr = _readonly_array(self.gains, "gains")
-        if arr.size != self.order:
-            raise ValueError("gain count must equal order")
-        if not np.all(arr > 0.0):
-            raise ValueError("all gains must be strictly positive")
-        object.__setattr__(self, "gains", arr)
-        weights = _filter_weights(self.order, self.lam)
-        weights.setflags(write=False)
-        object.__setattr__(self, "filter_weights", weights)
+        try:
+            gains = np.array([binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float)
+            finite = np.isfinite(gains).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains beyond the float range")
+        weights = np.array([binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)], dtype=float)
+        for name, arr in (("gains", gains), ("filter_weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # a Hurwitz polynomial has only positive coefficients, so this also
+        # rejects a lambda whose gains underflow to 0
+        if not hurwitz_check(self.char_polynomial()):
+            raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains that are not Hurwitz")
 
     def char_polynomial(self) -> CharPolynomial:
         """p^n + gains[n-1] p^(n-1) + ... + gains[0], descending storage."""
@@ -142,14 +149,8 @@ def binomial_coefficient(n: int, i: int) -> int:
 
 def binomial_gains(n: int, lam: float) -> GainVector:
     """Gains that place all n closed-loop error poles at -lam; GainVector
-    checks n and lam."""
-    try:
-        gains = np.array(
-            [binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float
-        )
-    except OverflowError as exc:
-        raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains beyond the float range") from exc
-    return GainVector(lam=float(lam), order=n, gains=gains)
+    computes them and checks n and lam."""
+    return GainVector(lam=float(lam), order=n)
 
 
 def hurwitz_check(poly: CharPolynomial) -> bool:
@@ -195,18 +196,10 @@ def tracking_error(x: StateVector, x_d: StateVector) -> StateVector:
     return StateVector(x.values - x_d.values)
 
 
-def _filter_weights(n: int, lam: float) -> np.ndarray:
-    """Weights C(n-1, i) * lam^(n-1-i) of the combined error, i = 0..n-1."""
-    return np.array(
-        [binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)], dtype=float
-    )
-
-
 def filtered_error(xt: StateVector, lam: float) -> float:
     """Scalar combined error s = (d/dt + lam)^(n-1) applied to the error vector.
 
-    s = sum_i C(n-1, i) * lam^(n-1-i) * xt[i]; for n = 1 this is xt[0] itself.
+    s = sum_i C(n-1, i) * lam^(n-1-i) * xt[i], GainVector's filter_weights;
+    for n = 1 this is xt[0] itself.
     """
-    if not (lam > 0.0):
-        raise ValueError("lambda must be > 0")
-    return float(np.dot(_filter_weights(xt.order, lam), xt.values))
+    return float(np.dot(GainVector(lam, xt.order).filter_weights, xt.values))

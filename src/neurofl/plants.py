@@ -49,11 +49,17 @@ class PlantModel:
 
 def pendulum_plant(m: float = 1.0, l: float = 1.0, c: float = 0.0, g: float = 9.81) -> PlantModel:
     """Damped pendulum: acceleration -(g/l) sin(x) - c*xdot + u/(m l^2)."""
-    if not (m > 0.0 and l > 0.0):
-        raise ValueError("mass and length must be > 0")
-    if c < 0.0 or g < 0.0:
-        raise ValueError("damping and gravity must be >= 0")
-    b = 1.0 / (m * l * l)
+    for key, value in (("m", m), ("l", l)):
+        if not (value > 0.0):
+            raise ValueError(f"{key}: must be > 0")
+    for key, value in (("c", c), ("g", g)):
+        if not (value >= 0.0):
+            raise ValueError(f"{key}: must be >= 0")
+    # m*l^2 can leave the float range, at either end, while m and l are in it
+    inertia = m * l * l
+    b = 1.0 / inertia if inertia > 0.0 else math.inf
+    if not (b / 2.0 > 0.0 and b < math.inf):
+        raise ValueError(f"m: m*l^2 = {inertia:g} (l = {l:g}) leaves no positive finite input gain 1/(m*l^2)")
     return PlantModel(
         order=2,
         f_eval=lambda x, t: -(g / l) * math.sin(x[0]) - c * x[1],
@@ -64,15 +70,20 @@ def pendulum_plant(m: float = 1.0, l: float = 1.0, c: float = 0.0, g: float = 9.
     )
 
 
+def _gain_guard(gain: float) -> float:
+    """The controllability guard |gain|/2 of a constant input gain."""
+    if not (abs(gain) / 2.0 > 0.0):
+        raise ValueError(f"gain: must be nonzero, and |gain| >= 1e-323 for a guard |gain|/2 > 0, got {gain:g}")
+    return abs(gain) / 2.0
+
+
 def duffing_plant(a: float = 0.2, b1: float = 1.0, b2: float = 1.0, gain: float = 1.0) -> PlantModel:
     """Duffing oscillator: acceleration -a*xdot - b1*x - b2*x^3 + gain*u."""
-    if gain == 0.0:
-        raise ValueError("gain must be nonzero")
     return PlantModel(
         order=2,
         f_eval=lambda x, t: -a * x[1] - b1 * x[0] - b2 * x[0] ** 3,
         b_eval=lambda x, t: gain,
-        b_min=abs(gain) / 2.0,
+        b_min=_gain_guard(gain),
         name="duffing",
         params={"a": a, "b1": b1, "b2": b2, "gain": gain},
     )
@@ -80,13 +91,11 @@ def duffing_plant(a: float = 0.2, b1: float = 1.0, b2: float = 1.0, gain: float 
 
 def vanderpol_plant(mu: float = 1.0, gain: float = 1.0) -> PlantModel:
     """Van der Pol oscillator: acceleration mu*(1 - x^2)*xdot - x + gain*u."""
-    if gain == 0.0:
-        raise ValueError("gain must be nonzero")
     return PlantModel(
         order=2,
         f_eval=lambda x, t: mu * (1.0 - x[0] ** 2) * x[1] - x[0],
         b_eval=lambda x, t: gain,
-        b_min=abs(gain) / 2.0,
+        b_min=_gain_guard(gain),
         name="vanderpol",
         params={"mu": mu, "gain": gain},
     )

@@ -13,7 +13,7 @@ import numpy as np
 from .controller import ControllerState, _control_law
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .controller import control_step  # noqa: F401
-from .dynamics import StateVector, _filter_weights
+from .dynamics import GainVector, StateVector
 from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
@@ -315,8 +315,9 @@ def run_closed_loop(
 
     At each control sample the state is read, u is computed and held, the
     truth plant is integrated over dt_ctrl with `substeps` RK4 substeps, and
-    (in compensated mode) the weights take one adaptation step. A fault ends
-    the run early with the partial trajectory and a terminal event.
+    the weights of the controller's network, if it has one, take one
+    adaptation step. A fault ends the run early with the partial trajectory
+    and a terminal event.
     """
     steps = _control_steps(T, dt_ctrl, substeps)
     if truth.order != nominal.order:
@@ -390,13 +391,9 @@ def run_closed_loop(
             break
         try:
             y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, d)
-        except ControllabilityFault:
-            events[k] = _join_event(events[k], EVENT_CONTROLLABILITY)
-            terminal = EVENT_CONTROLLABILITY
-            break
-        except DivergenceFault:
-            events[k] = _join_event(events[k], EVENT_DIVERGENCE)
-            terminal = EVENT_DIVERGENCE
+        except (ControllabilityFault, DivergenceFault) as exc:
+            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
+            events[k] = terminal if events[k] == "" else f"{events[k]};{terminal}"
             break
 
     sl = slice(0, recorded)
@@ -417,10 +414,6 @@ def run_closed_loop(
     )
 
 
-def _join_event(existing: str, new: str) -> str:
-    return new if existing == "" else f"{existing};{new}"
-
-
 def compute_metrics(traj: Trajectory) -> Metrics:
     """Scalar tracking metrics over a trajectory; the steady-state window is
     the final 10% of samples."""
@@ -431,7 +424,8 @@ def compute_metrics(traj: Trajectory) -> Metrics:
     iae = float(np.trapezoid(np.abs(xt), traj.t)) if len(traj) > 1 else 0.0
     tail = max(1, len(traj) // 10)
     sse = float(np.mean(xt[-tail:]))
-    max_u = float(np.max(np.abs(traj.u)))
+    # a fault in the control law marks its sample's u NaN: no input was applied
+    max_u = float(np.max(np.abs(traj.u[~np.isnan(traj.u)]), initial=0.0))
     finite = bool(np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.u)))
     bounded = finite and traj.terminal_event is None
     return Metrics(
@@ -455,9 +449,7 @@ def ideal_disturbance_plant(
     """
     if ref.order != base.order:
         raise ValueError("reference order must equal plant order")
-    if not (lam > 0.0):
-        raise ValueError("lambda must be > 0")
-    filt = _filter_weights(base.order, lam)
+    filt = GainVector(lam, base.order).filter_weights
     w_target = target.weights
     base_f = base.f_eval
     if not ref.components:

@@ -96,9 +96,9 @@ def test_c2_nominal_convergence():
     )
 
 
-def _constant_load_scenario(mode, network=None):
+def _constant_load_scenario(network=None):
     plant = nf.pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), mode=mode, network=network)
+    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), network=network)
     ref = nf.constant_reference(0.0, 2)
     dist = nf.constant_disturbance(0.5)
     return nf.run_closed_loop(
@@ -108,7 +108,7 @@ def _constant_load_scenario(mode, network=None):
 
 def test_c3_baseline_steady_state_under_constant_load():
     t0 = time.perf_counter()
-    traj = _constant_load_scenario("baseline")
+    traj = _constant_load_scenario()
     elapsed = time.perf_counter() - t0
     sse = nf.compute_metrics(traj).steady_state_error
     # equilibrium of xt'' + 4 xt' + 4 xt = d: xt = d / k0 = 0.5 / 4 = +0.125
@@ -125,7 +125,7 @@ def test_c3_baseline_steady_state_under_constant_load():
 
 def test_c4_compensation_benefit():
     net = nf.default_network(11, 0.5, 20.0)  # s_range covers observed |s| <= 0.07
-    traj = _constant_load_scenario("compensated", network=net)
+    traj = _constant_load_scenario(network=net)
     metrics = nf.compute_metrics(traj)
     sse = metrics.steady_state_error
     ok = abs(sse) <= 0.125 / 10.0 and metrics.bounded
@@ -147,7 +147,7 @@ def test_c5_adaptation_energy_descent():
     rng = np.random.default_rng(42)
     target = replace(net, weights=rng.uniform(-0.5, 0.5, net.neuron_count))
     truth = nf.ideal_disturbance_plant(plant, target, ref, lam)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, lam), mode="compensated", network=net)
+    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, lam), network=net)
     traj = nf.run_closed_loop(
         truth, plant, ctrl, ref, nf.no_disturbance(), lam, 10.0, dt, 1,
         x0=[0.3, 0.0], record_weights=True,
@@ -168,7 +168,7 @@ def test_c5_adaptation_energy_descent():
 def test_c6_bounded_signals_under_sinusoidal_load():
     plant = nf.pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
     net = nf.default_network(11, 1.0, 10.0)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), mode="compensated", network=net)
+    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), network=net)
     ref = nf.sinusoid_reference(1.0, 1.0, 0.0, 2)
     dist = nf.sinusoid_disturbance(1.0, 0.5)  # |d| <= 1
     traj = nf.run_closed_loop(plant, plant, ctrl, ref, dist, 2.0, 60.0, 1e-3, 1)
@@ -223,8 +223,8 @@ def test_c8_reduction_identity():
         neurons = int(rng.integers(1, 12))
         net = nf.default_network(neurons, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.5, 20.0)))
         u_limit = float(rng.uniform(1.0, 50.0)) if rng.random() < 0.3 else None
-        ctrl_c = nf.ControllerState(gains=gains, mode="compensated", network=net, u_limit=u_limit)
-        ctrl_b = nf.ControllerState(gains=gains, mode="baseline", u_limit=u_limit)
+        ctrl_c = nf.ControllerState(gains=gains, network=net, u_limit=u_limit)
+        ctrl_b = nf.ControllerState(gains=gains, u_limit=u_limit)
         x = nf.StateVector(rng.uniform(-3.0, 3.0, n))
         x_d = nf.StateVector(rng.uniform(-3.0, 3.0, n))
         xd_n = float(rng.uniform(-5.0, 5.0))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from neurofl.cli import csv_header, main, sse_ratio
-from neurofl.config import config_from_dict, load_config
+from neurofl.config import build_experiment, config_from_dict, load_config
 from neurofl.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,7 +34,8 @@ NOISE = {"kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5.0}
 # key of a library ValueError.
 VALUE_RULES = [
     ("controller.lambda", "dynamics.GainVector", {"controller": {"lambda": 0.0}}),
-    ("controller.mode", "controller.ControllerState", {"controller": {"mode": "adaptive"}}),
+    # an enum, checked with the JSON's shape like plant.name
+    ("controller.mode", "config.config_from_dict", {"controller": {"mode": "adaptive"}}),
     ("controller.u_limit", "controller.ControllerState", {"controller": {"u_limit": -1.0}}),
     ("controller.network.eta", "rbf.RbfNetwork", {"controller": {"network": {"eta": 0.0}}}),
     ("controller.network.kappa", "rbf.RbfNetwork", {"controller": {"network": {"kappa": -0.5}}}),
@@ -64,7 +65,30 @@ VALUE_RULES = [
     ),
     # a JSON integer has no size limit, and this one is beyond the float range
     ("controller.lambda", "config._number", {"controller": {"lambda": 10**400}}),
+    ("plant.params.m", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"m": 0.0}}}),
+    ("plant.params.l", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"l": -1.0}}}),
+    ("plant.params.c", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"c": -0.1}}}),
+    ("plant.params.g", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"g": -9.81}}}),
+    # m*l^2 beyond the float range: 1/(m*l^2) is 0, and the guard with it
+    ("plant.params.m", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"m": 1e300, "l": 1e300}}}),
+    # m*l^2 underflows to 0: 1/(m*l^2) would divide by zero
+    ("plant.params.m", "plants.pendulum_plant", {"plant": {"name": "pendulum", "params": {"m": 1e-200, "l": 1e-100}}}),
+    ("plant.params.gain", "plants._gain_guard", {"plant": {"name": "duffing", "params": {"gain": 0.0}}}),
+    ("plant.params.gain", "plants._gain_guard", {"plant": {"name": "vanderpol", "params": {"gain": 0.0}}}),
+    # |gain|/2 underflows to 0
+    ("plant.params.gain", "plants._gain_guard", {"plant": {"name": "duffing", "params": {"gain": 5e-324}}}),
+    # lambda^2 underflows to 0, so the gains are not Hurwitz
+    ("controller.lambda", "dynamics.GainVector", {"controller": {"lambda": 1e-200}}),
 ]
+
+
+def strict_json(path: Path):
+    """The file parsed as strict JSON: NaN, Infinity and -Infinity are errors."""
+
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not strict JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def raised_in(exc: BaseException) -> str:
@@ -135,7 +159,7 @@ class TestConfigValidation:
             config_from_dict({"plant": {"name": "pendulum", "params": {"mass": 2.0}}})
 
     def test_bad_plant_param_value(self):
-        with pytest.raises(ConfigError, match=r"mass and length"):
+        with pytest.raises(ConfigError, match=r"^plant\.params\.m: must be > 0$"):
             config_from_dict({"plant": {"name": "pendulum", "params": {"m": -1.0}}})
 
     def test_missing_plant_section(self):
@@ -177,6 +201,12 @@ class TestConfigValidation:
                     config_from_dict(raw)
         raw["controller"]["network"]["kappa"] = 1500.0
         assert config_from_dict(raw).network.kappa == 1500.0
+
+    def test_controller_holds_the_network_only_in_compensated_mode(self):
+        # the network is built, and so checked, in both modes: compare runs both
+        for mode, attached in (("baseline", False), ("compensated", True)):
+            setup = build_experiment(config_from_dict(minimal_config(controller={"mode": mode})))
+            assert (setup.ctrl.network is not None) is attached
 
     def test_dt_and_T_validation(self):
         with pytest.raises(ConfigError, match=r"dt_ctrl.*must be > 0"):
@@ -245,6 +275,24 @@ class TestConfigValidation:
         path.write_text('{"plant": }', encoding="utf-8")
         with pytest.raises(ConfigError, match=r"line 1 column 11"):
             load_config(path)
+
+    def test_repeated_key_names_its_dotted_key(self, tmp_path):
+        # a plain dict would keep the last value, lambda = 5.0, silently
+        cases = (
+            ("controller.lambda", '{"plant": {"name": "pendulum"}, "controller": {"lambda": 1, "lambda": 5}}'),
+            ("seed", '{"seed": 1, "plant": {"name": "pendulum"}, "seed": 2}'),
+            (
+                "reference.components[1].omega",
+                '{"plant": {"name": "pendulum"}, "reference": {"kind": "sum-of-sinusoids", "components": '
+                '[{"amplitude": 1, "omega": 1}, {"amplitude": 1, "omega": 2, "omega": 3}]}}',
+            ),
+        )
+        for key, text in cases:
+            path = tmp_path / "repeated.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: key is given more than once$"):
+                load_config(path)
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -349,6 +397,38 @@ class TestCmdSimulate:
         path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}))
         assert main(["simulate", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "trajectory.csv").exists()
+
+
+class TestStrictMetricsJson:
+    def test_fault_before_any_input_reports_zero_max_abs_u(self, tmp_path):
+        # the feedback overflows at sample 0, so no input is ever applied
+        cfg = minimal_config(
+            controller={"mode": "baseline", "lambda": 1e150}, simulation={"T": 0.01, "x0": [1e9, 0.0]}
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
+        metrics = strict_json(out / "metrics.json")
+        assert metrics["max_abs_u"] == 0.0
+        assert metrics["terminal_event"] == "divergence" and metrics["records"] == 1
+
+    def test_non_finite_metric_is_written_as_a_string(self, tmp_path):
+        # an error of 1e300 squares to inf in the rms
+        cfg = minimal_config(
+            reference={"kind": "constant", "level": 1e300}, simulation={"T": 0.01, "x0": [0.0, 0.0]}
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
+            assert main(["compare", "--config", str(path), "--out-dir", str(out)]) == 3
+        metrics = strict_json(out / "metrics.json")
+        assert metrics["rms_error"] == "inf" and metrics["max_abs_u"] == 1e300
+        combined = strict_json(out / "compare_metrics.json")
+        assert combined["baseline"]["rms_error"] == combined["compensated"]["rms_error"] == "inf"
+        # s = -1e300 overflows the RBF basis at sample 0: no input applied
+        assert combined["compensated"]["max_abs_u"] == 0.0
 
 
 class TestCmdCompare:

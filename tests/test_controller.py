@@ -4,14 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from neurofl.controller import (
-    BASELINE,
-    COMPENSATED,
-    ControllerState,
-    control_step,
-)
+from neurofl.controller import ControllerState, control_step
 from neurofl.dynamics import GainVector, StateVector, binomial_gains
-from neurofl.errors import ConfigError, ControllabilityFault, DivergenceFault
+from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import PlantModel, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
 from neurofl.simulation import run_closed_loop, sinusoid_reference
@@ -32,22 +27,14 @@ def baseline_ctrl(n=2, lam=2.0, u_limit=None):
 
 
 class TestControllerState:
-    def test_compensated_requires_network(self):
-        with pytest.raises(ConfigError):
-            ControllerState(gains=binomial_gains(2, 1.0), mode=COMPENSATED)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            ControllerState(gains=binomial_gains(2, 1.0), mode="pid")
-
     def test_non_hurwitz_gains_rejected(self):
-        # positive gains whose polynomial has an imaginary-axis pair
-        gains = GainVector(lam=1.0, order=3, gains=np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            ControllerState(gains=gains)
+        # the gains come from lambda alone; at 1e-200 the constant gain
+        # lambda^2 underflows to 0, which no Hurwitz polynomial has
+        with pytest.raises(ValueError, match=r"^lambda: lambda=1e-200 gives order-2 gains that are not Hurwitz$"):
+            ControllerState(gains=GainVector(lam=1e-200, order=2))
 
     def test_nonpositive_u_limit_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^u_limit: "):
             ControllerState(gains=binomial_gains(2, 1.0), u_limit=0.0)
 
 
@@ -112,7 +99,7 @@ class TestNnFlControl:
     def test_zero_weights_match_baseline_bitwise(self):
         gains = binomial_gains(2, 2.0)
         net = default_network(7, 1.0, 5.0)
-        ctrl_c = ControllerState(gains=gains, mode=COMPENSATED, network=net)
+        ctrl_c = ControllerState(gains=gains, network=net)
         ctrl_b = ControllerState(gains=gains)
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -129,7 +116,7 @@ class TestNnFlControl:
     def test_compensation_shifts_input(self):
         # d_hat = 1 at s = 0 (single neuron at the origin, unit weight), b = 2
         ctrl = ControllerState(
-            gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=one_neuron_net(1.0)
+            gains=binomial_gains(2, 2.0), network=one_neuron_net(1.0)
         )
         x = StateVector([0.0, 0.0])
         u, _, log = control_step(ctrl, constant_plant(0.0, 2.0), x, x, 0.0, 0.0, 1e-3)
@@ -140,7 +127,7 @@ class TestNnFlControl:
     def test_zero_error_gives_zero_s(self):
         net = default_network(5, 1.0, 1.0)
         for lam in (0.5, 2.0, 7.0):
-            ctrl = ControllerState(gains=binomial_gains(2, lam), mode=COMPENSATED, network=net)
+            ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
             x = StateVector([0.4, -1.0])
             _, _, log = control_step(ctrl, constant_plant(0.0, 1.0), x, x, 0.0, 0.0, 1e-3)
             assert log.s == 0.0
@@ -154,14 +141,13 @@ class TestControlStep:
         x_d = StateVector([0.0, 0.0])
         u, ctrl2, log = control_step(ctrl, plant, x, x_d, 0.0, 0.0, 1e-3)
         assert ctrl2.gains is ctrl.gains
-        assert ctrl2.network is None
-        assert ctrl2.mode == BASELINE
+        assert ctrl2 is ctrl and ctrl2.network is None
         assert log.d_hat == 0.0 and log.w_norm == 0.0
 
     def test_compensated_zero_error_keeps_weights(self):
         plant = pendulum_plant()
         net = one_neuron_net(0.25)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
         x = StateVector([0.0, 0.0])
         u, ctrl2, log = control_step(ctrl, plant, x, x, 0.0, 0.0, 1e-3)
         np.testing.assert_array_equal(ctrl2.network.weights, net.weights)
@@ -174,7 +160,7 @@ class TestControlStep:
         plant = pendulum_plant(m=0.5, l=1.0, c=0.0, g=0.0)
         lam, eta, kappa, dt = 2.0, 2.0, 0.5, 0.1
         net = one_neuron_net(1.0, eta=eta, kappa=kappa)
-        ctrl = ControllerState(gains=binomial_gains(2, lam), mode=COMPENSATED, network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
         x = StateVector([1.0, 0.5])
         x_d = StateVector([0.0, 0.0])
         # for this plant f(x) = 0 at g = 0, c = 0; feed xd_n = 2 directly
@@ -208,7 +194,7 @@ class TestControlStep:
             learning_rate=1e4,
             weight_cap=0.1,
         )
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
         x = StateVector([1.0, 0.0])
         x_d = StateVector([0.0, 0.0])
         _, ctrl2, log = control_step(ctrl, plant, x, x_d, 0.0, 0.0, 1e-2)
@@ -219,7 +205,7 @@ class TestControlStep:
         # s = lam * 1e9 = 2e9 and eta = 1e300: eta*s overflows to inf and,
         # with every phi_i(s) = 0, inf*phi would give NaN weights
         net = default_network(9, 1.0, 1e300)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
         x = StateVector([1e9, 0.0])
         x_d = StateVector([0.0, 0.0])
         with warnings.catch_warnings():
@@ -244,17 +230,16 @@ class TestControlStep:
         with pytest.raises(ValueError):
             control_step(ctrl, plant, x, x, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("mode", [BASELINE, COMPENSATED])
+    @pytest.mark.parametrize("mode", ["baseline", "compensated"])
     def test_raw_arrays_match_state_vectors(self, mode):
         plant = pendulum_plant(c=0.2)
-        ctrl = ControllerState(
-            gains=binomial_gains(2, 3.0), mode=mode, network=default_network(7, 1.0, 10.0), u_limit=5.0
-        )
+        net = default_network(7, 1.0, 10.0) if mode == "compensated" else None
+        ctrl = ControllerState(gains=binomial_gains(2, 3.0), network=net, u_limit=5.0)
         x, x_d = np.array([0.4, -0.3]), np.array([0.1, 0.2])
         u_sv, ctrl_sv, log_sv = control_step(ctrl, plant, StateVector(x), StateVector(x_d), 0.7, 0.1, 1e-3)
         u_raw, ctrl_raw, log_raw = control_step(ctrl, plant, x, x_d, 0.7, 0.1, 1e-3)
         assert (u_raw, log_raw) == (u_sv, log_sv)
-        if mode == COMPENSATED:
+        if net is not None:
             assert np.array_equal(ctrl_raw.network.weights, ctrl_sv.network.weights)
 
     def test_state_order_mismatch_rejected(self):
@@ -306,7 +291,7 @@ class TestClosedLoopResiduals:
 
         plant = pendulum_plant(c=0.0)
         net = default_network(9, 1.0, 10.0)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode=COMPENSATED, network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
         ref = sinusoid_reference(0.5, 1.0, 0.0, 2)
         traj = run_closed_loop(
             plant, plant, ctrl, ref, constant_disturbance(0.5), 2.0, 3.0, 1e-3, 1,

@@ -123,10 +123,19 @@ class TestBinomialGains:
             binomial_gains(2, 1e200)
 
     def test_gain_vector_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        # the gains are computed from lambda and the order, never given, so
+        # they are positive and n of them unless lambda or the order is bad
+        with pytest.raises(TypeError):
             GainVector(lam=1.0, order=2, gains=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            GainVector(lam=1.0, order=2, gains=np.array([1.0]))
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^lambda: must be > 0$"):
+                GainVector(lam=lam, order=2)
+        with pytest.raises(ValueError, match="order"):
+            GainVector(lam=1.0, order=0)
+        # lambda^2 underflows to 0 below about 1.5e-162
+        with pytest.raises(ValueError, match=r"^lambda: .* not Hurwitz$"):
+            GainVector(lam=1e-163, order=2)
+        assert GainVector(lam=1e-150, order=2).gains[0] > 0.0
 
 
 class TestCharPolynomial:

@@ -19,8 +19,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurofl.controller import COMPENSATED, ControllerState
-from neurofl.dynamics import GainVector, StateVector, binomial_gains
+from neurofl.config import COMPENSATED
+from neurofl.controller import ControllerState
+from neurofl.dynamics import StateVector, binomial_gains
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
@@ -69,8 +70,8 @@ def frozen_control_law(ctrl, nominal, x, x_d, xd_n, t, dt_ctrl, w):
     xt = x - x_d
     s = float(np.dot(ctrl.gains.filter_weights, xt))
     d_hat = w_norm = 0.0
-    if ctrl.mode == COMPENSATED:
-        net = ctrl.network
+    net = ctrl.network
+    if net is not None:
         try:
             phi = np.array(
                 [
@@ -221,10 +222,7 @@ DISTURBANCES = {
 def controller(order, mode, lam=2.0, u_limit=None, weight_cap=None):
     net = replace(default_network(9, 0.8, 40.0), leakage=0.05, weight_cap=weight_cap)
     return ControllerState(
-        gains=binomial_gains(order, lam),
-        mode=mode,
-        network=net if mode == COMPENSATED else None,
-        u_limit=u_limit,
+        gains=binomial_gains(order, lam), network=net if mode == COMPENSATED else None, u_limit=u_limit
     )
 
 
@@ -323,13 +321,13 @@ def test_matches_oracle_through_divergence():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_matches_oracle_through_divergence_in_control_law():
-    # lambda = 1e308 makes the combined error s = lam*(x - x_d) + (x' - x_d')
-    # overflow to inf at t = 0, and the adaptation step faults on it
+    # a reference at 1e300 and lambda = 1e10 make the combined error
+    # s = lam*(x - x_d) + (x' - x_d') overflow to -inf at t = 0, and the
+    # adaptation step faults on it
     plant = order_plant(2)
-    gains = GainVector(lam=1e308, order=2, gains=np.array([1.0, 2.0]))
-    ctrl = ControllerState(gains=gains, mode=COMPENSATED, network=default_network(9, 0.8, 40.0))
+    ctrl = ControllerState(gains=binomial_gains(2, 1e10), network=default_network(9, 0.8, 40.0))
     traj = assert_matches_oracle(
-        plant, plant, ctrl, reference("constant", 2), no_disturbance(), 0.1, 1e-2, 1, x0=[2.4, 0.0],
+        plant, plant, ctrl, constant_reference(1e300, 2), no_disturbance(), 0.1, 1e-2, 1, x0=[2.4, 0.0],
     )
     assert traj.terminal_event == EVENT_DIVERGENCE
     assert traj.event == [EVENT_DIVERGENCE]

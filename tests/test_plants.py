@@ -90,14 +90,19 @@ class TestPendulumPlant:
         assert p.f_eval(StateVector([math.pi, 0.0]), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        # each message begins with the parameter's key
+        with pytest.raises(ValueError, match=r"^m: must be > 0$"):
             pendulum_plant(m=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^l: must be > 0$"):
             pendulum_plant(l=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^c: must be >= 0$"):
             pendulum_plant(c=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^g: must be >= 0$"):
             pendulum_plant(g=-9.81)
+        # m*l^2 overflows (input gain 0) or underflows (division by zero)
+        for m, l in ((1e300, 1e300), (1e-200, 1e-100), (1e-300, 1e-10)):
+            with pytest.raises(ValueError, match=r"^m: m\*l\^2 = "):
+                pendulum_plant(m=m, l=l)
 
 
 class TestDuffingPlant:

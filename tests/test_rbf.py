@@ -273,7 +273,7 @@ def test_ideal_representation_descent():
     base = pendulum_plant(c=0.0)
     ref = constant_reference(0.0, 2)
     truth = ideal_disturbance_plant(base, target, ref, lam)
-    ctrl = ControllerState(gains=binomial_gains(2, lam), mode="compensated", network=net)
+    ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
     traj = run_closed_loop(
         truth, base, ctrl, ref, no_disturbance(), lam, 2.0, dt, 1,
         x0=[0.3, 0.0], record_weights=True,

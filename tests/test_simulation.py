@@ -487,7 +487,7 @@ class TestRunClosedLoop:
         # neither through their constructors nor around them
         plant = pendulum_plant(c=0.2)
         net = replace(default_network(9, 1.0, 50.0), weight_cap=0.05)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode="compensated", network=net)
+        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
         args = (plant, plant, ctrl, sinusoid_reference(0.5, 1.0, 0.0, 2), sinusoid_disturbance(0.8, 0.5))
         weights = ctrl.network.weights.copy()
         built = []
@@ -606,7 +606,7 @@ class TestRunClosedLoop:
         def run(kappa):
             plant = pendulum_plant()
             net = replace(default_network(9, 1.0, 5.0), leakage=kappa)
-            ctrl = ControllerState(gains=binomial_gains(2, 2.0), mode="compensated", network=net)
+            ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
             return run_closed_loop(
                 plant, plant, ctrl, constant_reference(0.0, 2), no_disturbance(), 2.0, 1.0, 1e-3, 1, x0=[0.5, 0.0]
             )
@@ -712,6 +712,14 @@ class TestComputeMetrics:
         t = np.linspace(0.0, 1.0, 11)
         u = np.linspace(-3.0, 2.0, 11)
         assert compute_metrics(self.synthetic(t, np.zeros(11), u)).max_abs_u == 3.0
+
+    def test_max_abs_u_skips_the_fault_marker(self):
+        # a fault in the control law records u = NaN at its sample; no input
+        # was applied there, and none at all when it is the first sample
+        t = np.linspace(0.0, 0.2, 3)
+        assert compute_metrics(self.synthetic(t, np.zeros(3), np.array([1.0, -3.0, np.nan]))).max_abs_u == 3.0
+        t = np.array([0.0])
+        assert compute_metrics(self.synthetic(t, np.zeros(1), np.array([np.nan]))).max_abs_u == 0.0
 
     def test_empty_rejected(self):
         traj = self.synthetic(np.array([0.0]), np.array([0.0]))
