@@ -62,8 +62,13 @@ def _json_value(value):
 def _metrics_dict(metrics: Metrics, traj: Trajectory) -> dict:
     out = {key: _json_value(value) for key, value in asdict(metrics).items()}
     out["terminal_event"] = traj.terminal_event
+    out["terminal_t"] = traj.terminal_t
     out["records"] = len(traj)
     return out
+
+
+def _ending(traj: Trajectory) -> str:
+    return f"{traj.terminal_event} at t={traj.terminal_t:.6g}"
 
 
 def _print_metrics_table(rows: dict[str, dict]) -> None:
@@ -128,7 +133,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(traj)} records)")
     _print_metrics_table({cfg.mode: summary})
     if traj.terminal_event is not None:
-        print(f"run ended early: {traj.terminal_event}", file=sys.stderr)
+        print(f"run ended early: {_ending(traj)}", file=sys.stderr)
         return EXIT_FAULT
     return EXIT_OK
 
@@ -141,12 +146,13 @@ def sse_ratio(sse_baseline: float, sse_compensated: float) -> float:
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Run the identical scenario in baseline and compensated mode and write
+    """Run the identical scenario without and with the network and write
     baseline.csv, compensated.csv and compare_metrics.json."""
+    setup = build_experiment(cfg if cfg.mode == COMPENSATED else replace(cfg, mode=COMPENSATED))
+    halves = {BASELINE: replace(setup, ctrl=replace(setup.ctrl, network=None)), COMPENSATED: setup}
     results = {}
-    for mode in (BASELINE, COMPENSATED):
-        setup = build_experiment(replace(cfg, mode=mode))
-        traj = _run_setup(setup)
+    for mode, half in halves.items():
+        traj = _run_setup(half)
         results[mode] = (traj, compute_metrics(traj))
 
     summaries = {mode: _metrics_dict(m, t) for mode, (t, m) in results.items()}
@@ -174,7 +180,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     faulted = [m for m, (t, _) in results.items() if t.terminal_event is not None]
     if faulted:
         for mode in faulted:
-            print(f"{mode} run ended early: {results[mode][0].terminal_event}", file=sys.stderr)
+            print(f"{mode} run ended early: {_ending(results[mode][0])}", file=sys.stderr)
         return EXIT_FAULT
     return EXIT_OK
 

@@ -5,9 +5,10 @@ The schema is documented in the README. This module checks the JSON's shape:
 repeated and unknown keys (with a nearest-key suggestion when one is an edit
 away), required keys, enums, types, finite numbers, integers, and defaults.
 Every rule on a value has one home, the library constructor or helper that
-owns the value; config_from_dict builds the objects eagerly, so each rule runs
-before a run starts, and a library ValueError "key: ..." becomes a
-ConfigError "section.key: ...".
+owns the value. An ExperimentConfig assembles its simulation objects when it
+is built, through config_from_dict, directly or by dataclasses.replace, so
+each rule runs then, a library ValueError "key: ..." becomes a ConfigError
+"section.key: ...", and build_experiment returns the objects the config holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .controller import ControllerState
 from .dynamics import binomial_gains
@@ -74,7 +75,9 @@ NETWORK_DEFAULTS = {f.name: f.default for f in fields(NetworkConfig)}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully-defaulted description of one experiment."""
+    """Validated, fully-defaulted description of one experiment. Building one
+    assembles its simulation objects, so an invalid value is a ConfigError
+    then, by whichever route the config is built."""
 
     plant_name: str
     plant_params: dict
@@ -91,6 +94,15 @@ class ExperimentConfig:
     seed: int
     out_dir: str | None
     name: str
+    # the objects assembled from the fields above; build_experiment returns them
+    _setup: ExperimentSetup = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_setup", _assemble(self))
+
+    def __reduce__(self):
+        # the setup holds closures: a copy or an unpickled config assembles its own
+        return ExperimentConfig, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; load_config on the result round-trips."""
@@ -364,7 +376,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(name, str):
         raise ConfigError("name: must be a string")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         plant_name=plant_name,
         plant_params=plant_params,
         disturbance=disturbance,
@@ -381,9 +393,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         name=name,
     )
-    # assembling the objects runs every value rule
-    build_experiment(cfg)
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -419,10 +428,17 @@ def _build_reference(spec: dict, order: int) -> ReferenceSpec:
 
 
 def build_experiment(cfg: ExperimentConfig) -> ExperimentSetup:
-    """Assemble plants, controller, reference and disturbance from a config.
+    """The plants, controller, reference and disturbance cfg assembled when it
+    was built."""
+    return cfg._setup
 
-    The network is built, and so checked, in either mode, since compare runs
-    both; the controller holds it only in compensated mode.
+
+def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
+    """Build the simulation objects of a config, which runs every value rule.
+
+    The network is built, and so checked, in either mode; the controller
+    holds it only in compensated mode, and compare runs the setup with and
+    without it.
     """
     with _keyed("plant.params."):
         plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)

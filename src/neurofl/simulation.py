@@ -206,6 +206,12 @@ class Trajectory:
     def __len__(self):
         return self.t.size
 
+    @property
+    def terminal_t(self) -> float | None:
+        """t of the sample at which the terminal event was recorded, the last
+        one; None for a complete run."""
+        return None if self.terminal_event is None else self.t[-1].item()
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -420,7 +426,12 @@ def compute_metrics(traj: Trajectory) -> Metrics:
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     xt = traj.x[:, 0] - traj.x_d[:, 0]
-    rms = float(np.sqrt(np.mean(xt**2)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(xt**2)))
+    if math.isinf(rms) and np.all(np.isfinite(xt)):
+        # a finite error beyond ~1e154 overflows its square: scale it by its peak
+        peak = np.max(np.abs(xt))
+        rms = float(peak * np.sqrt(np.mean((xt / peak) ** 2)))
     iae = float(np.trapezoid(np.abs(xt), traj.t)) if len(traj) > 1 else 0.0
     tail = max(1, len(traj) // 10)
     sse = float(np.mean(xt[-tail:]))

@@ -1,15 +1,23 @@
 import copy
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from neurofl.cli import csv_header, main, sse_ratio
+from neurofl import config
+from neurofl.cli import _json_value, _metrics_dict, _run_setup, csv_header, main, sse_ratio, write_trajectory_csv
 from neurofl.config import build_experiment, config_from_dict, load_config
 from neurofl.errors import ConfigError
+from neurofl.simulation import Metrics, Trajectory
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -299,6 +307,71 @@ class TestConfigValidation:
             load_config(tmp_path / "absent.json")
 
 
+@pytest.fixture
+def plant_builds(monkeypatch):
+    """The plants built while the test runs, counted at config.PLANT_BUILDERS,
+    the seam the benchmark's tracer wraps."""
+    built = []
+
+    def counted(build):
+        def build_counted(*args, **kwargs):
+            built.append(build)
+            return build(*args, **kwargs)
+
+        return build_counted
+
+    monkeypatch.setattr(config, "PLANT_BUILDERS", {name: counted(b) for name, b in config.PLANT_BUILDERS.items()})
+    return built
+
+
+class TestAssembledOnce:
+    """A config assembles its experiment when it is built, by any route."""
+
+    def test_load_then_build_assembles_once(self, plant_builds):
+        setup = build_experiment(config_from_dict(minimal_config(controller={"mode": "compensated"})))
+        assert setup.ctrl.network is not None
+        assert len(plant_builds) == 1
+
+    def test_compare_assembles_once(self, tmp_path, plant_builds):
+        assert main(["compare", "--config", str(GOLDEN / "golden_config.json"), "--out-dir", str(tmp_path)]) == 0
+        assert len(plant_builds) == 1
+
+    def test_compare_of_a_baseline_mode_config_assembles_at_most_twice(self, tmp_path, plant_builds):
+        raw = json.loads((GOLDEN / "golden_config.json").read_text())
+        raw["controller"]["mode"] = "baseline"
+        path = write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert len(plant_builds) <= 2
+
+    def test_replace_checks_value_rules_at_construction(self):
+        cfg = config_from_dict(minimal_config())
+        with pytest.raises(ConfigError, match=r"^controller\.lambda: "):
+            replace(cfg, lam=-1.0)
+        with pytest.raises(ConfigError, match=r"^simulation\.x0: "):
+            replace(cfg, x0=(0.1,))
+
+    def test_replaced_config_holds_its_own_setup(self):
+        cfg = config_from_dict(minimal_config(controller={"lambda": 2.0}))
+        assert build_experiment(replace(cfg, lam=3.0)).ctrl.gains.lam == 3.0
+        assert build_experiment(cfg).ctrl.gains.lam == 2.0
+
+    def test_pickled_and_copied_configs_run_the_same(self, tmp_path):
+        cfg = config_from_dict(
+            minimal_config(
+                disturbance=NOISE,
+                controller={"mode": "compensated", "lambda": 2.0},
+                simulation={"T": 0.5, "dt_ctrl": 0.01, "x0": [0.3, 0.0]},
+            )
+        )
+        copies = (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg))
+        runs = []
+        for i, c in enumerate((cfg, *copies)):
+            assert c == cfg
+            write_trajectory_csv(_run_setup(build_experiment(c)), tmp_path / f"{i}.csv")
+            runs.append((tmp_path / f"{i}.csv").read_bytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestCsvContract:
     def test_header_order(self):
         assert csv_header(2) == [
@@ -339,11 +412,12 @@ class TestCmdSimulate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["bounded"] is True
         assert metrics["rms_error"] == 0.0
-        assert metrics["terminal_event"] is None
+        assert metrics["terminal_event"] is None and metrics["terminal_t"] is None
 
-    def test_diverging_config_exits_with_fault(self, tmp_path):
-        # receptive field wide enough to keep pumping as the state runs away;
-        # the same config with a small learning rate stays bounded
+    def test_diverging_config_exits_with_fault(self, tmp_path, capsys):
+        # receptive field wide enough to keep pumping as the state runs away
+        # past the divergence limit at sample 4; the same config with a small
+        # learning rate stays bounded
         cfg = minimal_config(
             plant={"name": "pendulum", "params": {"c": 0.1}},
             disturbance={"kind": "constant", "offset": 0.5},
@@ -360,11 +434,44 @@ class TestCmdSimulate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["terminal_event"] == "divergence"
         assert metrics["bounded"] is False
+        # terminal_t is the t of the row that carries the event
+        last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        assert last[-1] == "divergence" and metrics["terminal_t"] == float(last[0]) == 0.04
+        assert capsys.readouterr().err == "run ended early: divergence at t=0.04\n"
+        assert main(["compare", "--config", str(path), "--out-dir", str(out)]) == 3
+        combined = json.loads((out / "compare_metrics.json").read_text())
+        assert combined["compensated"]["terminal_t"] == 0.04 and combined["baseline"]["terminal_t"] is None
+        assert capsys.readouterr().err == "compensated run ended early: divergence at t=0.04\n"
 
         cfg["controller"]["network"]["eta"] = 5.0
         cfg["controller"]["network"]["s_range"] = 1.0
         path2 = write_config(tmp_path, cfg, "tame.json")
         assert main(["simulate", "--config", str(path2), "--out-dir", str(tmp_path / "tame")]) == 0
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        cfg = minimal_config(
+            disturbance={**NOISE, "seed": 11},
+            reference={"kind": "sinusoid", "amplitude": 0.5, "omega": 2.0},
+            controller={"mode": "compensated", "lambda": 3.0, "network": {"neurons": 7, "eta": 10.0}},
+            simulation={"T": 1.0, "dt_ctrl": 0.005, "substeps": 2, "x0": [0.2, 0.0]},
+        )
+        path = write_config(tmp_path, cfg)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"seed{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "neurofl.cli", "simulate", "--config", str(path), "--out-dir", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("trajectory.csv", "metrics.json")])
+        assert outputs[0] == outputs[1]
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, minimal_config(controller={"lambda": -1.0}))
@@ -413,20 +520,33 @@ class TestStrictMetricsJson:
         assert metrics["max_abs_u"] == 0.0
         assert metrics["terminal_event"] == "divergence" and metrics["records"] == 1
 
-    def test_non_finite_metric_is_written_as_a_string(self, tmp_path):
-        # an error of 1e300 squares to inf in the rms
+    def test_non_finite_metric_is_written_as_a_string(self):
+        traj = Trajectory(
+            t=np.zeros(1), x=np.zeros((1, 2)), x_d=np.zeros((1, 2)), u=np.zeros(1), s=np.zeros(1),
+            d_hat=np.zeros(1), d_true=np.zeros(1), w_norm=np.zeros(1), event=[""], order=2, dt_ctrl=0.01,
+        )
+        metrics = Metrics(rms_error=math.inf, iae=-math.inf, steady_state_error=math.nan, max_abs_u=1.5, bounded=False)
+        text = json.dumps(_metrics_dict(metrics, traj), allow_nan=False)
+        summary = json.loads(text)
+        assert (summary["rms_error"], summary["iae"], summary["steady_state_error"]) == ("inf", "-inf", "nan")
+        assert summary["max_abs_u"] == 1.5 and summary["bounded"] is False
+        # perfect compensation against a steady-state error
+        assert _json_value(sse_ratio(0.125, 0.0)) == "inf"
+
+    def test_rms_of_a_finite_error_beyond_the_square_range_is_finite(self, tmp_path):
+        # an error of 1e300 squares to inf; the rms is still 1e300, and no
+        # overflow warning is raised
         cfg = minimal_config(
             reference={"kind": "constant", "level": 1e300}, simulation={"T": 0.01, "x0": [0.0, 0.0]}
         )
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
-            assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
-            assert main(["compare", "--config", str(path), "--out-dir", str(out)]) == 3
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
+        assert main(["compare", "--config", str(path), "--out-dir", str(out)]) == 3
         metrics = strict_json(out / "metrics.json")
-        assert metrics["rms_error"] == "inf" and metrics["max_abs_u"] == 1e300
+        assert metrics["rms_error"] == 1e300 and metrics["max_abs_u"] == 1e300
         combined = strict_json(out / "compare_metrics.json")
-        assert combined["baseline"]["rms_error"] == combined["compensated"]["rms_error"] == "inf"
+        assert combined["baseline"]["rms_error"] == combined["compensated"]["rms_error"] == 1e300
         # s = -1e300 overflows the RBF basis at sample 0: no input applied
         assert combined["compensated"]["max_abs_u"] == 0.0
 
@@ -469,20 +589,15 @@ class TestCmdCompare:
         assert abs(sse_c) <= abs(sse_b) / 10.0
 
     def test_golden_compare_matches_frozen_files(self, tmp_path):
-        assert (
-            main(
-                [
-                    "compare",
-                    "--config",
-                    str(GOLDEN / "golden_config.json"),
-                    "--out-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        for name in ("baseline.csv", "compensated.csv"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        # compare runs both halves whichever mode the config names
+        raw = json.loads((GOLDEN / "golden_config.json").read_text())
+        raw["controller"]["mode"] = "baseline"
+        configs = (GOLDEN / "golden_config.json", write_config(tmp_path, raw, "baseline_mode.json"))
+        for i, path in enumerate(configs):
+            out = tmp_path / f"out{i}"
+            assert main(["compare", "--config", str(path), "--out-dir", str(out)]) == 0
+            for name in ("baseline.csv", "compensated.csv"):
+                assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (path.name, name)
 
 
 def test_version_flag(capsys):

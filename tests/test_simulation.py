@@ -708,6 +708,17 @@ class TestComputeMetrics:
         m = compute_metrics(self.synthetic(t, np.sin(t)))
         assert m.rms_error == pytest.approx(math.sqrt(0.5), abs=1e-3)
 
+    def test_rms_of_errors_whose_squares_overflow(self):
+        # 3e200 and 4e200 square past the float range; the rms is 5e200/sqrt(2)
+        t = np.array([0.0, 0.01])
+        assert compute_metrics(self.synthetic(t, np.array([3e200, -4e200]))).rms_error == pytest.approx(
+            5e200 / math.sqrt(2.0), rel=1e-15
+        )
+        # an error that squares inside the range keeps the plain form's bits
+        xt = np.array([1e150, -3e-3, 7.25])
+        plain = float(np.sqrt(np.mean(xt**2)))
+        assert compute_metrics(self.synthetic(np.linspace(0.0, 0.02, 3), xt)).rms_error == plain
+
     def test_max_abs_u(self):
         t = np.linspace(0.0, 1.0, 11)
         u = np.linspace(-3.0, 2.0, 11)
