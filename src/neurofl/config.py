@@ -1,23 +1,27 @@
 """Experiment configuration: strict JSON loading, validation, and assembly of
 the simulation objects.
 
-The schema is documented in the README. This module checks the JSON's shape:
-repeated and unknown keys (with a nearest-key suggestion when one is an edit
-away), required keys, enums, types, finite numbers, integers, and defaults.
-Every rule on a value has one home, the library constructor or helper that
-owns the value. An ExperimentConfig assembles its simulation objects when it
-is built, through config_from_dict, directly or by dataclasses.replace, so
-each rule runs then, a library ValueError "key: ..." becomes a ConfigError
-"section.key: ...", and build_experiment returns the objects the config holds.
+The schema is documented in the README. Building an ExperimentConfig is the
+one gate into a config, by config_from_dict, directly or by
+dataclasses.replace: it checks the shape of each field (unknown and required
+keys, with a nearest-key suggestion when one is an edit away, enums, types,
+finite numbers, integers, defaults), stores a normalized copy, and assembles
+the simulation objects. Every rule on a value has one home, the library
+constructor or helper that owns the value; assembly runs each rule, a library
+ValueError "key: ..." becomes a ConfigError "section.key: ...", and
+build_experiment returns the objects the config holds. config_from_dict only
+unpacks the JSON: root and section objects, their keys, repeated keys and the
+required plant section.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .controller import ControllerState
 from .dynamics import binomial_gains
@@ -59,25 +63,15 @@ DISTURBANCE_KEYS = {kind: _parameters(build) for kind, build in DISTURBANCE_BUIL
 REFERENCE_KEYS = {
     kind: tuple(_parameters(build, skip=("order",))) for kind, build in REFERENCE_BUILDERS.items()
 }
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    neurons: int = 9
-    s_range: float = 1.0
-    eta: float = 5.0
-    kappa: float = 0.0
-    weight_cap: float | None = None
-
-
-NETWORK_DEFAULTS = {f.name: f.default for f in fields(NetworkConfig)}
+# a network without weight_cap has no cap
+NETWORK_DEFAULTS = {"neurons": 9, "s_range": 1.0, "eta": 5.0, "kappa": 0.0}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully-defaulted description of one experiment. Building one
-    assembles its simulation objects, so an invalid value is a ConfigError
-    then, by whichever route the config is built."""
+    """Validated, fully-defaulted description of one experiment. Building one,
+    by any route, checks and copies its fields and assembles its simulation
+    objects, so an invalid field is a ConfigError naming its key then."""
 
     plant_name: str
     plant_params: dict
@@ -85,7 +79,7 @@ class ExperimentConfig:
     reference: dict
     mode: str
     lam: float
-    network: NetworkConfig
+    network: dict
     u_limit: float | None
     T: float
     dt_ctrl: float
@@ -98,6 +92,26 @@ class ExperimentConfig:
     _setup: ExperimentSetup = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # dataclasses.replace passes every stored field back in, so each
+        # check accepts its own output
+        checked = {
+            "plant_params": _parse_plant(self.plant_name, self.plant_params),
+            "disturbance": _parse_disturbance(self.disturbance),
+            "reference": _parse_reference(self.reference),
+            "mode": _enum(self.mode, (BASELINE, COMPENSATED), "controller.mode"),
+            "lam": _number(self.lam, "controller.lambda"),
+            "u_limit": None if self.u_limit is None else _number(self.u_limit, "controller.u_limit"),
+            "network": _parse_network(self.network),
+            "T": _number(self.T, "simulation.T"),
+            "dt_ctrl": _number(self.dt_ctrl, "simulation.dt_ctrl"),
+            "substeps": _integer(self.substeps, "simulation.substeps"),
+            "x0": _parse_x0(self.x0),
+            "out_dir": None if self.out_dir is None else _string(self.out_dir, "output.dir"),
+            "seed": _integer(self.seed, "seed"),
+            "name": _string(self.name, "name"),
+        }
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "_setup", _assemble(self))
 
     def __reduce__(self):
@@ -109,14 +123,10 @@ class ExperimentConfig:
         cfg = {
             "name": self.name,
             "seed": self.seed,
-            "plant": {"name": self.plant_name, "params": dict(self.plant_params)},
-            "disturbance": dict(self.disturbance),
-            "reference": dict(self.reference),
-            "controller": {
-                "mode": self.mode,
-                "lambda": self.lam,
-                "network": {k: v for k, v in asdict(self.network).items() if v is not None},
-            },
+            "plant": {"name": self.plant_name, "params": self.plant_params},
+            "disturbance": self.disturbance,
+            "reference": self.reference,
+            "controller": {"mode": self.mode, "lambda": self.lam, "network": self.network},
             "simulation": {
                 "T": self.T,
                 "dt_ctrl": self.dt_ctrl,
@@ -129,7 +139,8 @@ class ExperimentConfig:
             cfg["simulation"]["x0"] = list(self.x0)
         if self.out_dir is not None:
             cfg["output"] = {"dir": self.out_dir}
-        return cfg
+        # a caller may edit the result, and no edit reaches the config
+        return copy.deepcopy(cfg)
 
 
 @dataclass(frozen=True)
@@ -203,62 +214,64 @@ def _get_number(mapping: dict, key: str, context: str, default=None, required=Fa
     return _number(mapping[key], f"{context}.{key}")
 
 
-def _get_integer(mapping: dict, key: str, where: str, default: int) -> int:
-    val = mapping.get(key, default)
+def _integer(val, where: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool):
         raise ConfigError(f"{where}: must be an integer")
     return val
 
 
+def _string(val, where: str) -> str:
+    if not isinstance(val, str):
+        raise ConfigError(f"{where}: must be a string")
+    return val
+
+
+def _enum(val, choices, where: str) -> str:
+    if not isinstance(val, str) or val not in choices:
+        raise ConfigError(f"{where}: must be one of {sorted(choices)}, got {val!r}")
+    return val
+
+
+def _object(val, where: str) -> dict:
+    """A JSON object; null is an absent one."""
+    if val is None:
+        return {}
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where}: must be an object")
+    return val
+
+
 @contextmanager
-def _keyed(prefix: str):
+def _keyed(prefix: str, root_keys=()):
     """Re-raise a library ValueError as a ConfigError with prefix in front of
     its message: under "controller.", GainVector's "lambda: must be > 0"
-    reads "controller.lambda: must be > 0"."""
+    reads "controller.lambda: must be > 0". A message on one of root_keys, a
+    value the section takes from the config root, names the root key."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(prefix + str(exc)) from exc
+        message = str(exc)
+        raise ConfigError(("" if message.partition(":")[0] in root_keys else prefix) + message) from exc
 
 
-def _parse_plant(section) -> tuple[str, dict]:
-    if not isinstance(section, dict):
-        raise ConfigError("plant: must be an object")
-    _reject_unknown(section, ("name", "params"), "plant")
-    name = section.get("name")
-    if name not in PLANT_BUILDERS:
-        raise ConfigError(
-            f"plant.name: must be one of {sorted(PLANT_BUILDERS)}, got {name!r}"
-        )
-    params = dict(PLANT_DEFAULTS[name])
-    given = section.get("params", {})
-    if not isinstance(given, dict):
-        raise ConfigError("plant.params: must be an object")
-    _reject_unknown(given, tuple(params), "plant.params")
-    for key in given:
-        params[key] = _get_number(given, key, "plant.params", required=True)
-    return name, params
+def _parse_plant(name, given) -> dict:
+    """The plant's parameters: the builder's defaults updated by given."""
+    _enum(name, PLANT_DEFAULTS, "plant.name")
+    given = _object(given, "plant.params")
+    _reject_unknown(given, PLANT_DEFAULTS[name], "plant.params")
+    return {**PLANT_DEFAULTS[name], **{key: _number(val, f"plant.params.{key}") for key, val in given.items()}}
 
 
 def _parse_disturbance(section) -> dict:
-    if section is None:
-        return {"kind": "none"}
-    if not isinstance(section, dict):
-        raise ConfigError("disturbance: must be an object")
-    kind = section.get("kind", "none")
-    if kind not in DISTURBANCE_KEYS:
-        raise ConfigError(
-            f"disturbance.kind: must be one of {sorted(DISTURBANCE_KEYS)}, got {kind!r}"
-        )
+    section = _object(section, "disturbance")
+    kind = _enum(section.get("kind", "none"), DISTURBANCE_KEYS, "disturbance.kind")
     keys = DISTURBANCE_KEYS[kind]
     _reject_unknown(section, ("kind", *keys), "disturbance")
     out = {"kind": kind}
     for key in keys:
         if key in section:
-            if key == "seed":
-                out[key] = _get_integer(section, key, "disturbance.seed", 0)
-            else:
-                out[key] = _get_number(section, key, "disturbance", required=True)
+            check = _integer if key == "seed" else _number
+            out[key] = check(section[key], f"disturbance.{key}")
     for key, default in keys.items():
         if default is inspect.Parameter.empty and key not in out:
             raise ConfigError(f"disturbance.{key}: required for kind '{kind}'")
@@ -266,15 +279,8 @@ def _parse_disturbance(section) -> dict:
 
 
 def _parse_reference(section) -> dict:
-    if section is None:
-        return {"kind": "constant", "level": 0.0}
-    if not isinstance(section, dict):
-        raise ConfigError("reference: must be an object")
-    kind = section.get("kind", "constant")
-    if kind not in REFERENCE_KEYS:
-        raise ConfigError(
-            f"reference.kind: must be one of {sorted(REFERENCE_KEYS)}, got {kind!r}"
-        )
+    section = _object(section, "reference")
+    kind = _enum(section.get("kind", "constant"), REFERENCE_KEYS, "reference.kind")
     _reject_unknown(section, ("kind", *REFERENCE_KEYS[kind]), "reference")
     out = {"kind": kind}
     if kind == "constant":
@@ -309,89 +315,60 @@ def _parse_sinusoid(section: dict, context: str) -> dict:
     return out
 
 
-def _parse_network(section) -> NetworkConfig:
-    if section is None:
-        return NetworkConfig()
-    if not isinstance(section, dict):
-        raise ConfigError("controller.network: must be an object")
-    _reject_unknown(section, NETWORK_DEFAULTS, "controller.network")
-    values = {
-        key: _get_number(section, key, "controller.network", default=default)
-        for key, default in NETWORK_DEFAULTS.items()
-        if key != "neurons"
-    }
-    neurons = _get_integer(section, "neurons", "controller.network.neurons", NETWORK_DEFAULTS["neurons"])
-    return NetworkConfig(neurons=neurons, **values)
+def _parse_network(section) -> dict:
+    section = _object(section, "controller.network")
+    _reject_unknown(section, (*NETWORK_DEFAULTS, "weight_cap"), "controller.network")
+    out = dict(NETWORK_DEFAULTS)
+    for key, val in section.items():
+        where = f"controller.network.{key}"
+        out[key] = _integer(val, where) if key == "neurons" else _number(val, where)
+    return out
+
+
+def _parse_x0(x0) -> tuple | None:
+    if x0 is None:
+        return None
+    if not isinstance(x0, (list, tuple)):
+        raise ConfigError("simulation.x0: must be a list of numbers")
+    return tuple(_number(v, f"simulation.x0[{i}]") for i, v in enumerate(x0))
+
+
+def _section(raw: dict, key: str, known) -> dict:
+    section = _object(raw.get(key), key)
+    _reject_unknown(section, known, key)
+    return section
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON mapping and fill the documented defaults."""
+    """Unpack a parsed JSON mapping into an ExperimentConfig, with the
+    documented defaults; the config checks every field."""
     if not isinstance(raw, dict):
         raise ConfigError("config root: must be an object")
     _reject_unknown(
         raw, ("name", "seed", "plant", "disturbance", "reference", "controller", "simulation", "output"), ""
     )
-    if "plant" not in raw:
+    if raw.get("plant") is None:
         raise ConfigError("plant: required section is missing")
-    plant_name, plant_params = _parse_plant(raw["plant"])
-    disturbance = _parse_disturbance(raw.get("disturbance"))
-    reference = _parse_reference(raw.get("reference"))
-
-    ctrl_section = raw.get("controller", {})
-    if not isinstance(ctrl_section, dict):
-        raise ConfigError("controller: must be an object")
-    _reject_unknown(ctrl_section, ("mode", "lambda", "u_limit", "network"), "controller")
-    mode = ctrl_section.get("mode", BASELINE)
-    if mode not in (BASELINE, COMPENSATED):
-        raise ConfigError(f"controller.mode: must be one of {[BASELINE, COMPENSATED]}, got {mode!r}")
-    lam = _get_number(ctrl_section, "lambda", "controller", default=1.0)
-    u_limit = _get_number(ctrl_section, "u_limit", "controller", default=None)
-    network = _parse_network(ctrl_section.get("network"))
-
-    sim_section = raw.get("simulation", {})
-    if not isinstance(sim_section, dict):
-        raise ConfigError("simulation: must be an object")
-    _reject_unknown(sim_section, ("T", "dt_ctrl", "substeps", "x0"), "simulation")
-    T = _get_number(sim_section, "T", "simulation", default=10.0)
-    dt_ctrl = _get_number(sim_section, "dt_ctrl", "simulation", default=1e-3)
-    substeps = _get_integer(sim_section, "substeps", "simulation.substeps", 1)
-    x0 = sim_section.get("x0")
-    if x0 is not None:
-        if not isinstance(x0, list):
-            raise ConfigError("simulation.x0: must be a list of numbers")
-        x0 = tuple(_number(v, f"simulation.x0[{i}]") for i, v in enumerate(x0))
-
-    out_section = raw.get("output")
-    out_dir = None
-    if out_section is not None:
-        if not isinstance(out_section, dict):
-            raise ConfigError("output: must be an object")
-        _reject_unknown(out_section, ("dir",), "output")
-        out_dir = out_section.get("dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError("output.dir: must be a string")
-
-    seed = _get_integer(raw, "seed", "seed", 0)
-    name = raw.get("name", "experiment")
-    if not isinstance(name, str):
-        raise ConfigError("name: must be a string")
-
+    plant = _section(raw, "plant", ("name", "params"))
+    ctrl = _section(raw, "controller", ("mode", "lambda", "u_limit", "network"))
+    sim = _section(raw, "simulation", ("T", "dt_ctrl", "substeps", "x0"))
+    output = _section(raw, "output", ("dir",))
     return ExperimentConfig(
-        plant_name=plant_name,
-        plant_params=plant_params,
-        disturbance=disturbance,
-        reference=reference,
-        mode=mode,
-        lam=lam,
-        network=network,
-        u_limit=u_limit,
-        T=T,
-        dt_ctrl=dt_ctrl,
-        substeps=substeps,
-        x0=x0,
-        seed=seed,
-        out_dir=out_dir,
-        name=name,
+        plant_name=plant.get("name"),
+        plant_params=plant.get("params"),
+        disturbance=raw.get("disturbance"),
+        reference=raw.get("reference"),
+        mode=ctrl.get("mode", BASELINE),
+        lam=ctrl.get("lambda", 1.0),
+        network=ctrl.get("network"),
+        u_limit=ctrl.get("u_limit"),
+        T=sim.get("T", 10.0),
+        dt_ctrl=sim.get("dt_ctrl", 1e-3),
+        substeps=sim.get("substeps", 1),
+        x0=sim.get("x0"),
+        seed=raw.get("seed", 0),
+        out_dir=output.get("dir"),
+        name=raw.get("name", "experiment"),
     )
 
 
@@ -444,15 +421,16 @@ def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
         plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
     net = cfg.network
     with _keyed("controller.network."):
-        _check_leakage_step(net.kappa, cfg.dt_ctrl)
-        network = default_network(net.neurons, net.s_range, net.eta)
-        network = replace(network, leakage=net.kappa, weight_cap=net.weight_cap)
+        _check_leakage_step(net["kappa"], cfg.dt_ctrl)
+        network = default_network(net["neurons"], net["s_range"], net["eta"])
+        network = replace(network, leakage=net["kappa"], weight_cap=net.get("weight_cap"))
     with _keyed("controller."):
         gains = binomial_gains(plant.order, cfg.lam)
         ctrl = ControllerState(gains, network if cfg.mode == COMPENSATED else None, cfg.u_limit)
     with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)
-    with _keyed("disturbance."):
+    # a noise disturbance without a seed of its own draws from the root seed
+    with _keyed("disturbance.", root_keys=() if "seed" in cfg.disturbance else ("seed",)):
         dist = _build_disturbance(cfg.disturbance, cfg.seed, cfg.dt_ctrl)
     with _keyed("simulation."):
         _control_steps(cfg.T, cfg.dt_ctrl, cfg.substeps)

@@ -137,6 +137,8 @@ class DisturbanceSpec:
                 raise ValueError("sample_dt: must be > 0 for noise")
             if self.amplitude < 0.0:
                 raise ValueError("amplitude: must be >= 0 for noise")
+            if self.seed < 0:
+                raise ValueError("seed: must be >= 0 for noise")
 
 
 def no_disturbance() -> DisturbanceSpec:

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 
 from neurofl import config
 from neurofl.cli import _json_value, _metrics_dict, _run_setup, csv_header, main, sse_ratio, write_trajectory_csv
-from neurofl.config import build_experiment, config_from_dict, load_config
+from neurofl.config import ExperimentConfig, build_experiment, config_from_dict, load_config
 from neurofl.errors import ConfigError
 from neurofl.simulation import Metrics, Trajectory
 
@@ -42,8 +42,8 @@ NOISE = {"kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5.0}
 # key of a library ValueError.
 VALUE_RULES = [
     ("controller.lambda", "dynamics.GainVector", {"controller": {"lambda": 0.0}}),
-    # an enum, checked with the JSON's shape like plant.name
-    ("controller.mode", "config.config_from_dict", {"controller": {"mode": "adaptive"}}),
+    # an enum, checked by the config's gate like plant.name
+    ("controller.mode", "config._enum", {"controller": {"mode": "adaptive"}}),
     ("controller.u_limit", "controller.ControllerState", {"controller": {"u_limit": -1.0}}),
     ("controller.network.eta", "rbf.RbfNetwork", {"controller": {"network": {"eta": 0.0}}}),
     ("controller.network.kappa", "rbf.RbfNetwork", {"controller": {"network": {"kappa": -0.5}}}),
@@ -87,6 +87,72 @@ VALUE_RULES = [
     ("plant.params.gain", "plants._gain_guard", {"plant": {"name": "duffing", "params": {"gain": 5e-324}}}),
     # lambda^2 underflows to 0, so the gains are not Hurwitz
     ("controller.lambda", "dynamics.GainVector", {"controller": {"lambda": 1e-200}}),
+    # the noise's seed is its own or, when it gives none, the root seed
+    ("disturbance.seed", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "seed": -3}}),
+    ("seed", "plants.DisturbanceSpec", {"seed": -1, "disturbance": NOISE}),
+]
+
+# Where each ExperimentConfig field sits in the JSON.
+FIELD_KEYS = {
+    "plant_name": ("plant", "name"),
+    "plant_params": ("plant", "params"),
+    "disturbance": ("disturbance",),
+    "reference": ("reference",),
+    "mode": ("controller", "mode"),
+    "lam": ("controller", "lambda"),
+    "u_limit": ("controller", "u_limit"),
+    "network": ("controller", "network"),
+    "T": ("simulation", "T"),
+    "dt_ctrl": ("simulation", "dt_ctrl"),
+    "substeps": ("simulation", "substeps"),
+    "x0": ("simulation", "x0"),
+    "seed": ("seed",),
+    "out_dir": ("output", "dir"),
+    "name": ("name",),
+}
+
+SUM = "sum-of-sinusoids"
+
+# One row per shape rule the config holds: the dotted key its message begins
+# with, and a field value that breaks it.
+SHAPE_RULES = [
+    ("plant.name", "plant_name", "rocket"),
+    ("plant.name", "plant_name", ["pendulum"]),
+    ("controller.mode", "mode", "adaptive"),
+    ("disturbance.kind", "disturbance", {"kind": "steps"}),
+    ("disturbance.kind", "disturbance", {"kind": ["none"]}),
+    ("reference.kind", "reference", {"kind": "ramp"}),
+    ("plant.params", "plant_params", {"mass": 2.0}),
+    ("disturbance", "disturbance", {"kind": "constant", "offset": 0.1, "ofset": 0.1}),
+    ("reference", "reference", {"kind": "constant", "levle": 1.0}),
+    ("controller.network", "network", {"eta": 1.0, "neuron": 3}),
+    ("reference.components[0]", "reference", {"kind": SUM, "components": [{"amplitude": 1.0, "omga": 1.0}]}),
+    ("disturbance.offset", "disturbance", {"kind": "constant"}),
+    ("disturbance.frequency_hz", "disturbance", {"kind": "sinusoid", "amplitude": 0.1}),
+    ("reference.omega", "reference", {"kind": "sinusoid", "amplitude": 1.0}),
+    ("simulation.substeps", "substeps", 2.5),
+    ("controller.network.neurons", "network", {"neurons": 3.0}),
+    ("seed", "seed", 1.5),
+    ("disturbance.seed", "disturbance", {**NOISE, "seed": True}),
+    ("controller.lambda", "lam", "2"),
+    ("controller.u_limit", "u_limit", True),
+    ("simulation.T", "T", math.inf),
+    ("simulation.dt_ctrl", "dt_ctrl", math.nan),
+    ("plant.params.m", "plant_params", {"m": "1"}),
+    ("disturbance.offset", "disturbance", {"kind": "constant", "offset": None}),
+    ("reference.level", "reference", {"kind": "constant", "level": -math.inf}),
+    ("controller.network.eta", "network", {"eta": "5"}),
+    ("reference.omega", "reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.0}),
+    ("simulation.x0", "x0", "0, 0"),
+    ("simulation.x0[1]", "x0", [0.0, "0"]),
+    ("name", "name", 3),
+    ("output.dir", "out_dir", ["out"]),
+    ("plant.params", "plant_params", [1.0]),
+    ("disturbance", "disturbance", "none"),
+    ("reference", "reference", 0.0),
+    ("controller.network", "network", [9]),
+    ("reference.components", "reference", {"kind": SUM, "components": []}),
+    ("reference.components[0]", "reference", {"kind": SUM, "components": [1.0]}),
 ]
 
 
@@ -124,6 +190,56 @@ def test_value_rule_has_one_home_and_names_its_key(key, home, sections, mode):
     assert str(exc.value).startswith(f"{key}: "), str(exc.value)
     # a library rule reaches config as the cause of the ConfigError
     assert raised_in(exc.value.__cause__ or exc.value) == home
+
+
+@pytest.mark.parametrize(
+    "key, name, value", SHAPE_RULES, ids=[f"{i}-{key}" for i, (key, _, _) in enumerate(SHAPE_RULES)]
+)
+def test_shape_rule_gives_one_error_by_every_route(key, name, value):
+    base = config_from_dict(minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}))
+    raw = base.to_dict()
+    *sections, last = FIELD_KEYS[name]
+    section = raw
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[last] = copy.deepcopy(value)
+    given = {f.name: getattr(base, f.name) for f in fields(base) if f.init}
+    routes = {
+        "config_from_dict": lambda: config_from_dict(raw),
+        "replace": lambda: replace(base, **{name: copy.deepcopy(value)}),
+        "ExperimentConfig": lambda: ExperimentConfig(**{**given, name: copy.deepcopy(value)}),
+    }
+    messages = {}
+    for route, build in routes.items():
+        with pytest.raises(ConfigError) as exc:
+            build()
+        messages[route] = str(exc.value)
+    assert messages["config_from_dict"].startswith(f"{key}: "), messages
+    assert len(set(messages.values())) == 1, messages
+
+
+def test_config_keeps_no_reference_to_a_callers_dict():
+    base = config_from_dict(minimal_config(controller={"mode": "compensated"}, simulation={"T": 0.1, "dt_ctrl": 0.01}))
+    params, network, comps = {"m": 2.0}, {"eta": 3.0}, [{"amplitude": 0.5, "omega": 2.0}]
+    dist = {"kind": "constant", "offset": 0.1, "bound": 0.5}
+    given = {
+        "plant_params": params,
+        "disturbance": dist,
+        "network": network,
+        "reference": {"kind": SUM, "components": comps},
+    }
+    cfg = replace(base, **given)
+    written = cfg.to_dict()
+    params["m"], dist["offset"], network["eta"], comps[0]["omega"] = 5.0, 0.4, 9.0, 7.0
+    assert cfg.to_dict() == written
+    # nor does an edit of what to_dict returns
+    cfg.to_dict()["reference"]["components"][0]["omega"] = 7.0
+    assert cfg.to_dict() == written
+    setup = build_experiment(cfg)
+    assert setup.truth.params["m"] == 2.0 and setup.dist.offset == 0.1
+    assert setup.ctrl.network.learning_rate == 3.0 and setup.ref.components[0][1] == 2.0
+    # the edited dicts describe another experiment
+    assert replace(base, **given) != cfg
 
 
 class TestConfigValidation:
@@ -208,7 +324,7 @@ class TestConfigValidation:
                 with pytest.raises(ConfigError, match=r"controller\.network\.kappa: dt_ctrl\*kappa must be < 2"):
                     config_from_dict(raw)
         raw["controller"]["network"]["kappa"] = 1500.0
-        assert config_from_dict(raw).network.kappa == 1500.0
+        assert config_from_dict(raw).network["kappa"] == 1500.0
 
     def test_controller_holds_the_network_only_in_compensated_mode(self):
         # the network is built, and so checked, in both modes: compare runs both
@@ -476,6 +592,11 @@ class TestCmdSimulate:
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, minimal_config(controller={"lambda": -1.0}))
         assert main(["simulate", "--config", str(path)]) == 2
+        # numpy rejects a negative noise seed; a config does so at load
+        for sections in ({"seed": -1, "disturbance": NOISE}, {"disturbance": {**NOISE, "seed": -1}}):
+            path = write_config(tmp_path, minimal_config(**sections))
+            for command in ("simulate", "compare"):
+                assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -283,3 +283,5 @@ class TestDisturbances:
             noise_disturbance(1.0, cutoff_hz=0.0)
         with pytest.raises(ValueError):
             noise_disturbance(1.0, cutoff_hz=1.0, sample_dt=0.0)
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0 for noise$"):
+            noise_disturbance(1.0, cutoff_hz=1.0, seed=-1)

@@ -9,6 +9,7 @@ JSON.
 import csv
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -131,6 +132,8 @@ def d_true_column(path: Path) -> list:
 def test_generated_configs_round_trip_respect_bounds_and_write_strict_json(raw):
     cfg = config_from_dict(raw)
     assert config_from_dict(cfg.to_dict()) == cfg
+    # the config's gate accepts its own normalized fields
+    assert replace(cfg) == cfg
     bound = build_experiment(cfg).dist.bound
 
     with tempfile.TemporaryDirectory() as tmp:
