@@ -10,8 +10,6 @@ from .dynamics import (
     CharPolynomial,
     GainVector,
     StateVector,
-    binomial_coefficient,
-    binomial_gains,
     filtered_error,
     hurwitz_check,
     tracking_error,
@@ -30,7 +28,7 @@ from .plants import (
     sinusoid_disturbance,
     vanderpol_plant,
 )
-from .rbf import RbfNetwork, activations, adapt_weights, default_network, gaussian_basis, network_output
+from .rbf import RbfNetwork, activations, default_network
 from .simulation import (
     Metrics,
     ReferenceSpec,

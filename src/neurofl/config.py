@@ -16,15 +16,14 @@ required plant section.
 
 from __future__ import annotations
 
-import copy
 import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .controller import ControllerState
-from .dynamics import binomial_gains
+from .dynamics import GainVector
 from .errors import ConfigError
 from .plants import (
     DISTURBANCE_BUILDERS,
@@ -64,14 +63,16 @@ REFERENCE_KEYS = {
     kind: tuple(_parameters(build, skip=("order",))) for kind, build in REFERENCE_BUILDERS.items()
 }
 # a network without weight_cap has no cap
-NETWORK_DEFAULTS = {"neurons": 9, "s_range": 1.0, "eta": 5.0, "kappa": 0.0}
+NETWORK_DEFAULTS = _parameters(default_network, skip=("weight_cap",))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-defaulted description of one experiment. Building one,
     by any route, checks and copies its fields and assembles its simulation
-    objects, so an invalid field is a ConfigError naming its key then."""
+    objects, so an invalid field is a ConfigError naming its key then. The
+    stored sections are read-only: dataclasses.replace makes a changed
+    config."""
 
     plant_name: str
     plant_params: dict
@@ -111,7 +112,7 @@ class ExperimentConfig:
             "name": _string(self.name, "name"),
         }
         for key, value in checked.items():
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, _frozen(value))
         object.__setattr__(self, "_setup", _assemble(self))
 
     def __reduce__(self):
@@ -136,11 +137,11 @@ class ExperimentConfig:
         if self.u_limit is not None:
             cfg["controller"]["u_limit"] = self.u_limit
         if self.x0 is not None:
-            cfg["simulation"]["x0"] = list(self.x0)
+            cfg["simulation"]["x0"] = self.x0
         if self.out_dir is not None:
             cfg["output"] = {"dir": self.out_dir}
         # a caller may edit the result, and no edit reaches the config
-        return copy.deepcopy(cfg)
+        return _thawed(cfg)
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,38 @@ class ExperimentSetup:
     dt_ctrl: float
     substeps: int
     x0: tuple | None
+
+
+class _Section(dict):
+    """A stored config section: a dict that refuses in-place edits, so that
+    what to_dict reports is what the setup runs."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a config section is read-only; dataclasses.replace makes a changed config")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy and pickle rebuild it whole rather than item by item
+        return _Section, (dict(self),)
+
+
+def _frozen(value):
+    """value with every dict a _Section and every list a tuple."""
+    if isinstance(value, dict):
+        return _Section({key: _frozen(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _thawed(value):
+    """A new plain-JSON copy of value: dicts and lists for sections and tuples."""
+    if isinstance(value, dict):
+        return {key: _thawed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_thawed(item) for item in value]
+    return value
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -289,7 +322,8 @@ def _parse_reference(section) -> dict:
         out.update(_parse_sinusoid(section, "reference"))
     else:
         comps = section.get("components")
-        if not isinstance(comps, list) or not comps:
+        # a stored config holds its components as a tuple
+        if not isinstance(comps, (list, tuple)) or not comps:
             raise ConfigError("reference.components: must be a non-empty list")
         parsed = []
         for i, comp in enumerate(comps):
@@ -419,13 +453,11 @@ def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
     """
     with _keyed("plant.params."):
         plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
-    net = cfg.network
     with _keyed("controller.network."):
-        _check_leakage_step(net["kappa"], cfg.dt_ctrl)
-        network = default_network(net["neurons"], net["s_range"], net["eta"])
-        network = replace(network, leakage=net["kappa"], weight_cap=net.get("weight_cap"))
+        _check_leakage_step(cfg.network["kappa"], cfg.dt_ctrl)
+        network = default_network(**cfg.network)
     with _keyed("controller."):
-        gains = binomial_gains(plant.order, cfg.lam)
+        gains = GainVector(cfg.lam, plant.order)
         ctrl = ControllerState(gains, network if cfg.mode == COMPENSATED else None, cfg.u_limit)
     with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)

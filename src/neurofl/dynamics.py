@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Exact integer binomials stay below 2^63 up to this order; plants of higher
-# order than this are outside any practical use of the toolkit.
-MAX_BINOMIAL_ORDER = 62
-
 __all__ = [
-    "MAX_BINOMIAL_ORDER",
     "StateVector",
     "GainVector",
     "CharPolynomial",
-    "binomial_coefficient",
-    "binomial_gains",
     "hurwitz_check",
     "tracking_error",
     "filtered_error",
@@ -117,13 +110,13 @@ class GainVector:
         if not (lam > 0.0):
             raise ValueError("lambda: must be > 0")
         try:
-            gains = np.array([binomial_coefficient(n, i) * lam ** (n - i) for i in range(n)], dtype=float)
+            gains = np.array([math.comb(n, i) * lam ** (n - i) for i in range(n)], dtype=float)
             finite = np.isfinite(gains).all()
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains beyond the float range")
-        weights = np.array([binomial_coefficient(n - 1, i) * lam ** (n - 1 - i) for i in range(n)], dtype=float)
+        weights = np.array([math.comb(n - 1, i) * lam ** (n - 1 - i) for i in range(n)], dtype=float)
         for name, arr in (("gains", gains), ("filter_weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -136,21 +129,6 @@ class GainVector:
         """p^n + gains[n-1] p^(n-1) + ... + gains[0], descending storage."""
         coeffs = np.concatenate(([1.0], self.gains[::-1]))
         return CharPolynomial(coeffs)
-
-
-def binomial_coefficient(n: int, i: int) -> int:
-    """C(n, i) = n! / ((n-i)! i!) as an exact integer."""
-    if n < 0 or i < 0 or i > n:
-        raise ValueError(f"require 0 <= i <= n, got n={n}, i={i}")
-    if n > MAX_BINOMIAL_ORDER:
-        raise ValueError(f"n={n} exceeds the supported maximum {MAX_BINOMIAL_ORDER}")
-    return math.comb(n, i)
-
-
-def binomial_gains(n: int, lam: float) -> GainVector:
-    """Gains that place all n closed-loop error poles at -lam; GainVector
-    computes them and checks n and lam."""
-    return GainVector(lam=float(lam), order=n)
 
 
 def hurwitz_check(poly: CharPolynomial) -> bool:

@@ -126,6 +126,9 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind '{self.kind}'")
         if self.bound < 0.0 or not math.isfinite(self.bound):
             raise ValueError("bound: must be a finite value >= 0")
+        for key in ("offset", "amplitude", "frequency_hz", "phase", "cutoff_hz", "sample_dt"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key}: must be finite")
         if self.kind == "constant" and abs(self.offset) > self.bound:
             raise ValueError(f"offset: |offset| exceeds the stated bound {self.bound:g}")
         if self.kind == "sinusoid" and abs(self.amplitude) > self.bound:

@@ -8,7 +8,7 @@ and widths are fixed at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,10 +16,7 @@ from .errors import DivergenceFault
 
 __all__ = [
     "RbfNetwork",
-    "gaussian_basis",
     "activations",
-    "network_output",
-    "adapt_weights",
     "default_network",
 ]
 
@@ -68,29 +65,16 @@ class RbfNetwork:
         return self.centers.size
 
 
-def gaussian_basis(s: float, mu: float, sigma: float) -> float:
-    """phi = exp(-(s - mu)^2 / (2 sigma^2)); peaks at 1 when s = mu."""
-    if not (sigma > 0.0):
-        raise ValueError("sigma must be > 0")
-    return math.exp(-((s - mu) ** 2) / (2.0 * sigma * sigma))
-
-
 def activations(net: RbfNetwork, s: float) -> np.ndarray:
-    """Basis responses phi_i(s), each in (0, 1]."""
-    # Same scalar arithmetic as gaussian_basis, element for element, so the
-    # results match it bit for bit. It stays scalar on purpose. For a
-    # 61-neuron network and s swept over [-3, 3], array squaring (x*x)
-    # differed from pow(x, 2) on 0.08% of the inputs, and np.exp differed
-    # from math.exp in the last bit on 1.9% of the exponents (4.9% of
-    # uniformly drawn ones).
+    """Basis responses phi_i(s) = exp(-(s - mu_i)^2 / (2 sigma_i^2)), each in
+    [0, 1] and 1 at s = mu_i."""
+    # Scalar arithmetic on Python floats, on purpose. For a 61-neuron network
+    # and s swept over [-3, 3], array squaring (x*x) differed from pow(x, 2)
+    # on 0.08% of the inputs, and np.exp differed from math.exp in the last
+    # bit on 1.9% of the exponents (4.9% of uniformly drawn ones).
     return np.array(
         [math.exp(-((s - mu) ** 2) / two_var) for mu, two_var in zip(net._center_list, net._two_var_list)]
     )
-
-
-def network_output(net: RbfNetwork, s: float) -> float:
-    """Disturbance estimate d_hat = sum_i w_i phi_i(s)."""
-    return float(np.dot(net.weights, activations(net, s)))
 
 
 def _check_leakage_step(kappa: float, dt_ctrl: float) -> None:
@@ -102,7 +86,17 @@ def _check_leakage_step(kappa: float, dt_ctrl: float) -> None:
 
 
 def _adapt_with_phi(net: RbfNetwork, w: np.ndarray, s: float, dt: float, phi: np.ndarray) -> np.ndarray:
-    """A new array: w after one adaptation step at s, given phi = activations(net, s)."""
+    """A new array: w after one explicit Euler step of
+    dw_i/dt = eta * s * phi_i(s) - kappa * w_i, given phi = activations(net, s).
+
+    The gradient term grows each weight along its basis response in the
+    direction that moves d_hat = sum_i w_i phi_i(s) toward the disturbance
+    driving s (along the surface dynamics s' + lam*s = d - d_hat this makes
+    V = s^2/2 + |w - w*|^2/(2 eta) nonincreasing in the ideal-representation
+    continuous-time limit with kappa = 0). The leakage term bleeds weight
+    magnitude for robustness when the disturbance is not representable.
+    Weights exceeding the inf-norm cap, when one is set, are clamped to it.
+    """
     gain = net.learning_rate * s
     # eta*s is the factor a run can drive past the float range; phi is in [0, 1]
     if not math.isfinite(gain):
@@ -114,44 +108,32 @@ def _adapt_with_phi(net: RbfNetwork, w: np.ndarray, s: float, dt: float, phi: np
     return new_weights
 
 
-def adapt_weights(net: RbfNetwork, s: float, dt: float) -> RbfNetwork:
-    """One explicit Euler step of dw_i/dt = eta * s * phi_i(s) - kappa * w_i.
-
-    The gradient term grows each weight along its basis response in the
-    direction that moves d_hat toward the disturbance driving s (along the
-    surface dynamics s' + lam*s = d - d_hat this makes
-    V = s^2/2 + |w - w*|^2/(2 eta) nonincreasing in the ideal-representation
-    continuous-time limit with kappa = 0). The leakage term bleeds weight
-    magnitude for robustness when the disturbance is not representable.
-    Weights exceeding the inf-norm cap, when one is set, are clamped to it.
-    """
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
-    return replace(net, weights=_adapt_with_phi(net, net.weights, s, dt, activations(net, s)))
-
-
-def default_network(neuron_count: int, s_range: float, eta: float) -> RbfNetwork:
-    """Zero-weight network with centers evenly spaced on [-s_range, s_range].
+def default_network(
+    neurons: int = 9, s_range: float = 1.0, eta: float = 5.0, kappa: float = 0.0, weight_cap: float | None = None
+) -> RbfNetwork:
+    """Zero-weight network with centers evenly spaced on [-s_range, s_range],
+    learning rate eta, leakage kappa and the inf-norm weight cap, if any.
 
     Widths equal the center spacing (s_range itself for a single neuron), so
     neighbouring bases overlap at exp(-1/2). Zero initial weights make the
     compensated controller coincide with the baseline at t = 0. RbfNetwork
-    checks eta.
+    checks eta, kappa and weight_cap.
     """
-    if neuron_count < 1:
+    if neurons < 1:
         raise ValueError("neurons: must be >= 1")
     if not (s_range > 0.0):
         raise ValueError("s_range: must be > 0")
-    if neuron_count == 1:
+    if neurons == 1:
         centers = np.array([0.0])
         width = s_range
     else:
-        centers = np.linspace(-s_range, s_range, neuron_count)
-        width = 2.0 * s_range / (neuron_count - 1)
+        centers = np.linspace(-s_range, s_range, neurons)
+        width = 2.0 * s_range / (neurons - 1)
     return RbfNetwork(
         centers=centers,
-        widths=np.full(neuron_count, width),
-        weights=np.zeros(neuron_count),
+        widths=np.full(neurons, width),
+        weights=np.zeros(neurons),
         learning_rate=float(eta),
-        leakage=0.0,
+        leakage=kappa,
+        weight_cap=weight_cap,
     )

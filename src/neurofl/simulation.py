@@ -276,17 +276,20 @@ def integrate_interval(
 
 
 def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
-    """Number of control intervals in [0, T], each of `substeps` RK4 steps.
-    T must be within 1e-9 intervals of a whole number of dt_ctrl, so that no
-    remainder is cut off."""
-    if not (T > 0.0):
-        raise ValueError("T: must be > 0")
-    if not (dt_ctrl > 0.0):
-        raise ValueError("dt_ctrl: must be > 0")
-    if substeps < 1:
-        raise ValueError("substeps: must be >= 1")
-    steps = int(math.floor(T / dt_ctrl + 1e-9))
-    if T / dt_ctrl - steps > 1e-9:
+    """Number of control intervals in [0, T], at least one, each of
+    `substeps` RK4 steps. T must be within 1e-9 intervals of a whole number
+    of dt_ctrl, so that no remainder is cut off."""
+    if not (0.0 < T < math.inf):
+        raise ValueError("T: must be > 0 and finite")
+    if not (0.0 < dt_ctrl < math.inf):
+        raise ValueError("dt_ctrl: must be > 0 and finite")
+    if not isinstance(substeps, int) or substeps < 1:
+        raise ValueError("substeps: must be an integer >= 1")
+    ratio = T / dt_ctrl
+    if not (1.0 - 1e-9 <= ratio < math.inf):
+        raise ValueError(f"T: must be at least one dt_ctrl ({dt_ctrl:g}), with T/dt_ctrl finite, got {T:g}")
+    steps = int(math.floor(ratio + 1e-9))
+    if ratio - steps > 1e-9:
         raise ValueError(f"T: must be a whole number of dt_ctrl ({dt_ctrl:g}), got {T:g}")
     return steps
 

@@ -55,7 +55,7 @@ def test_c1_pole_placement_identity():
     worst_mean = 0.0
     for n in range(1, 7):
         for lam in (0.5, 1.0, 2.0, 5.0):
-            coeffs = nf.binomial_gains(n, lam).char_polynomial().coefficients
+            coeffs = nf.GainVector(lam, n).char_polynomial().coefficients
             ok = ok and companion_plus_lambda_is_nilpotent(coeffs, lam)
             # float companion eigenvalues: the cluster mean is trace-anchored
             mean_dev = abs(np.mean(np.roots(coeffs)) - (-lam))
@@ -74,7 +74,7 @@ def test_c1_pole_placement_identity():
 def test_c2_nominal_convergence():
     t0 = time.perf_counter()
     plant = nf.pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0))
+    ctrl = nf.ControllerState(gains=nf.GainVector(2.0, 2))
     ref = nf.sinusoid_reference(1.0, 1.0, 0.0, 2)
     traj = nf.run_closed_loop(
         plant, plant, ctrl, ref, nf.no_disturbance(), 2.0, 10.0, 1e-3, 1, x0=[1.0, 0.0]
@@ -98,7 +98,7 @@ def test_c2_nominal_convergence():
 
 def _constant_load_scenario(network=None):
     plant = nf.pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), network=network)
+    ctrl = nf.ControllerState(gains=nf.GainVector(2.0, 2), network=network)
     ref = nf.constant_reference(0.0, 2)
     dist = nf.constant_disturbance(0.5)
     return nf.run_closed_loop(
@@ -147,7 +147,7 @@ def test_c5_adaptation_energy_descent():
     rng = np.random.default_rng(42)
     target = replace(net, weights=rng.uniform(-0.5, 0.5, net.neuron_count))
     truth = nf.ideal_disturbance_plant(plant, target, ref, lam)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, lam), network=net)
+    ctrl = nf.ControllerState(gains=nf.GainVector(lam, 2), network=net)
     traj = nf.run_closed_loop(
         truth, plant, ctrl, ref, nf.no_disturbance(), lam, 10.0, dt, 1,
         x0=[0.3, 0.0], record_weights=True,
@@ -168,7 +168,7 @@ def test_c5_adaptation_energy_descent():
 def test_c6_bounded_signals_under_sinusoidal_load():
     plant = nf.pendulum_plant(m=1.0, l=1.0, c=0.0, g=9.81)
     net = nf.default_network(11, 1.0, 10.0)
-    ctrl = nf.ControllerState(gains=nf.binomial_gains(2, 2.0), network=net)
+    ctrl = nf.ControllerState(gains=nf.GainVector(2.0, 2), network=net)
     ref = nf.sinusoid_reference(1.0, 1.0, 0.0, 2)
     dist = nf.sinusoid_disturbance(1.0, 0.5)  # |d| <= 1
     traj = nf.run_closed_loop(plant, plant, ctrl, ref, dist, 2.0, 60.0, 1e-3, 1)
@@ -219,7 +219,7 @@ def test_c8_reduction_identity():
     for _ in range(10_000):
         n = int(rng.integers(1, 5))
         lam = float(rng.uniform(0.2, 5.0))
-        gains = nf.binomial_gains(n, lam)
+        gains = nf.GainVector(lam, n)
         neurons = int(rng.integers(1, 12))
         net = nf.default_network(neurons, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.5, 20.0)))
         u_limit = float(rng.uniform(1.0, 50.0)) if rng.random() < 0.3 else None

@@ -17,6 +17,7 @@ from neurofl import config
 from neurofl.cli import _json_value, _metrics_dict, _run_setup, csv_header, main, sse_ratio, write_trajectory_csv
 from neurofl.config import ExperimentConfig, build_experiment, config_from_dict, load_config
 from neurofl.errors import ConfigError
+from neurofl.rbf import RbfNetwork
 from neurofl.simulation import Metrics, Trajectory
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +91,9 @@ VALUE_RULES = [
     # the noise's seed is its own or, when it gives none, the root seed
     ("disturbance.seed", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "seed": -3}}),
     ("seed", "plants.DisturbanceSpec", {"seed": -1, "disturbance": NOISE}),
+    # no control interval fits in T, and T/dt_ctrl beyond the float range
+    ("simulation.T", "simulation._control_steps", {"simulation": {"T": 1.0, "dt_ctrl": 1e12}}),
+    ("simulation.T", "simulation._control_steps", {"simulation": {"T": 1e300, "dt_ctrl": 1e-300}}),
 ]
 
 # Where each ExperimentConfig field sits in the JSON.
@@ -240,6 +244,40 @@ def test_config_keeps_no_reference_to_a_callers_dict():
     assert setup.ctrl.network.learning_rate == 3.0 and setup.ref.components[0][1] == 2.0
     # the edited dicts describe another experiment
     assert replace(base, **given) != cfg
+
+
+def test_stored_sections_are_read_only():
+    cfg = load_config(GOLDEN / "golden_config.json")
+    written = cfg.to_dict()
+    components = replace(cfg, reference={"kind": SUM, "components": [{"amplitude": 0.5, "omega": 2.0}]})
+    edits = [
+        lambda: cfg.disturbance.__setitem__("offset", 0.4),
+        lambda: cfg.network.__setitem__("eta", 99.0),
+        lambda: cfg.plant_params.update(m=2.0),
+        lambda: cfg.reference.pop("phase"),
+        lambda: cfg.network.setdefault("weight_cap", 1.0),
+        lambda: cfg.plant_params.clear(),
+        lambda: cfg.disturbance.__delitem__("offset"),
+        lambda: cfg.network.popitem(),
+        lambda: cfg.reference.__ior__({"omega": 3.0}),
+        lambda: components.reference["components"][0].__setitem__("omega", 7.0),
+        lambda: components.reference["components"].append({"amplitude": 1.0, "omega": 1.0}),
+    ]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    # what the config reports is what its setup runs
+    assert cfg.to_dict() == written
+    setup = build_experiment(cfg)
+    assert setup.dist.offset == written["disturbance"]["offset"] == 0.3
+    assert setup.ctrl.network.learning_rate == written["controller"]["network"]["eta"] == 8.0
+    # equality, to_dict, replace, copies and pickles work as on plain dicts
+    assert cfg.disturbance == {"kind": "constant", "offset": 0.3}
+    assert config_from_dict(written) == cfg
+    assert copy.deepcopy(cfg) == cfg and pickle.loads(pickle.dumps(cfg)) == cfg
+    assert type(written["disturbance"]) is dict and type(components.to_dict()["reference"]["components"]) is list
+    changed = replace(cfg, disturbance={**cfg.disturbance, "offset": 0.4})
+    assert build_experiment(changed).dist.offset == 0.4 and cfg.disturbance["offset"] == 0.3
 
 
 class TestConfigValidation:
@@ -459,6 +497,21 @@ class TestAssembledOnce:
         assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
         assert len(plant_builds) <= 2
 
+    def test_one_build_constructs_one_network(self, monkeypatch):
+        built = []
+        post_init = RbfNetwork.__post_init__
+
+        def counted(net):
+            built.append(net)
+            post_init(net)
+
+        monkeypatch.setattr(RbfNetwork, "__post_init__", counted)
+        raw = json.loads((GOLDEN / "golden_config.json").read_text())
+        raw["controller"]["network"]["weight_cap"] = 2.0
+        setup = build_experiment(config_from_dict(raw))
+        assert len(built) == 1 and built[0] is setup.ctrl.network
+        assert (setup.ctrl.network.leakage, setup.ctrl.network.weight_cap) == (0.01, 2.0)
+
     def test_replace_checks_value_rules_at_construction(self):
         cfg = config_from_dict(minimal_config())
         with pytest.raises(ConfigError, match=r"^controller\.lambda: "):
@@ -597,6 +650,13 @@ class TestCmdSimulate:
             path = write_config(tmp_path, minimal_config(**sections))
             for command in ("simulate", "compare"):
                 assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_horizon_without_a_whole_interval_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_config(simulation={"T": 1.0, "dt_ctrl": 1e12}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "simulation.T: must be at least one dt_ctrl" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from neurofl.controller import ControllerState, control_step
-from neurofl.dynamics import GainVector, StateVector, binomial_gains
+from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import PlantModel, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
@@ -23,7 +23,7 @@ def one_neuron_net(weight, eta=1.0, kappa=0.0):
 
 
 def baseline_ctrl(n=2, lam=2.0, u_limit=None):
-    return ControllerState(gains=binomial_gains(n, lam), u_limit=u_limit)
+    return ControllerState(gains=GainVector(lam, n), u_limit=u_limit)
 
 
 class TestControllerState:
@@ -35,7 +35,7 @@ class TestControllerState:
 
     def test_nonpositive_u_limit_rejected(self):
         with pytest.raises(ValueError, match=r"^u_limit: "):
-            ControllerState(gains=binomial_gains(2, 1.0), u_limit=0.0)
+            ControllerState(gains=GainVector(1.0, 2), u_limit=0.0)
 
 
 def constant_plant(f_val, b_val, b_min=0.01):
@@ -97,7 +97,7 @@ class TestFlControl:
 
 class TestNnFlControl:
     def test_zero_weights_match_baseline_bitwise(self):
-        gains = binomial_gains(2, 2.0)
+        gains = GainVector(2.0, 2)
         net = default_network(7, 1.0, 5.0)
         ctrl_c = ControllerState(gains=gains, network=net)
         ctrl_b = ControllerState(gains=gains)
@@ -116,7 +116,7 @@ class TestNnFlControl:
     def test_compensation_shifts_input(self):
         # d_hat = 1 at s = 0 (single neuron at the origin, unit weight), b = 2
         ctrl = ControllerState(
-            gains=binomial_gains(2, 2.0), network=one_neuron_net(1.0)
+            gains=GainVector(2.0, 2), network=one_neuron_net(1.0)
         )
         x = StateVector([0.0, 0.0])
         u, _, log = control_step(ctrl, constant_plant(0.0, 2.0), x, x, 0.0, 0.0, 1e-3)
@@ -127,7 +127,7 @@ class TestNnFlControl:
     def test_zero_error_gives_zero_s(self):
         net = default_network(5, 1.0, 1.0)
         for lam in (0.5, 2.0, 7.0):
-            ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
+            ctrl = ControllerState(gains=GainVector(lam, 2), network=net)
             x = StateVector([0.4, -1.0])
             _, _, log = control_step(ctrl, constant_plant(0.0, 1.0), x, x, 0.0, 0.0, 1e-3)
             assert log.s == 0.0
@@ -147,7 +147,7 @@ class TestControlStep:
     def test_compensated_zero_error_keeps_weights(self):
         plant = pendulum_plant()
         net = one_neuron_net(0.25)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+        ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
         x = StateVector([0.0, 0.0])
         u, ctrl2, log = control_step(ctrl, plant, x, x, 0.0, 0.0, 1e-3)
         np.testing.assert_array_equal(ctrl2.network.weights, net.weights)
@@ -160,7 +160,7 @@ class TestControlStep:
         plant = pendulum_plant(m=0.5, l=1.0, c=0.0, g=0.0)
         lam, eta, kappa, dt = 2.0, 2.0, 0.5, 0.1
         net = one_neuron_net(1.0, eta=eta, kappa=kappa)
-        ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
+        ctrl = ControllerState(gains=GainVector(lam, 2), network=net)
         x = StateVector([1.0, 0.5])
         x_d = StateVector([0.0, 0.0])
         # for this plant f(x) = 0 at g = 0, c = 0; feed xd_n = 2 directly
@@ -194,7 +194,7 @@ class TestControlStep:
             learning_rate=1e4,
             weight_cap=0.1,
         )
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+        ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
         x = StateVector([1.0, 0.0])
         x_d = StateVector([0.0, 0.0])
         _, ctrl2, log = control_step(ctrl, plant, x, x_d, 0.0, 0.0, 1e-2)
@@ -205,7 +205,7 @@ class TestControlStep:
         # s = lam * 1e9 = 2e9 and eta = 1e300: eta*s overflows to inf and,
         # with every phi_i(s) = 0, inf*phi would give NaN weights
         net = default_network(9, 1.0, 1e300)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+        ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
         x = StateVector([1e9, 0.0])
         x_d = StateVector([0.0, 0.0])
         with warnings.catch_warnings():
@@ -234,7 +234,7 @@ class TestControlStep:
     def test_raw_arrays_match_state_vectors(self, mode):
         plant = pendulum_plant(c=0.2)
         net = default_network(7, 1.0, 10.0) if mode == "compensated" else None
-        ctrl = ControllerState(gains=binomial_gains(2, 3.0), network=net, u_limit=5.0)
+        ctrl = ControllerState(gains=GainVector(3.0, 2), network=net, u_limit=5.0)
         x, x_d = np.array([0.4, -0.3]), np.array([0.1, 0.2])
         u_sv, ctrl_sv, log_sv = control_step(ctrl, plant, StateVector(x), StateVector(x_d), 0.7, 0.1, 1e-3)
         u_raw, ctrl_raw, log_raw = control_step(ctrl, plant, x, x_d, 0.7, 0.1, 1e-3)
@@ -291,7 +291,7 @@ class TestClosedLoopResiduals:
 
         plant = pendulum_plant(c=0.0)
         net = default_network(9, 1.0, 10.0)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+        ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
         ref = sinusoid_reference(0.5, 1.0, 0.0, 2)
         traj = run_closed_loop(
             plant, plant, ctrl, ref, constant_disturbance(0.5), 2.0, 3.0, 1e-3, 1,

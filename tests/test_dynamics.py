@@ -11,8 +11,6 @@ from neurofl.dynamics import (
     CharPolynomial,
     GainVector,
     StateVector,
-    binomial_coefficient,
-    binomial_gains,
     filtered_error,
     hurwitz_check,
     tracking_error,
@@ -30,51 +28,53 @@ def pascal_row(n):
 
 
 class TestBinomialCoefficient:
+    """At lambda = 1 GainVector's gains are C(n, i) for i < n and its filter
+    weights are row n - 1 of Pascal's triangle."""
+
     def test_edge_and_hand_values(self):
-        assert binomial_coefficient(3, 0) == 1
-        assert binomial_coefficient(3, 1) == 3
-        assert binomial_coefficient(5, 2) == pascal_row(5)[2] == 10
+        assert GainVector(1.0, 3).gains.tolist() == [1.0, 3.0, 3.0]
+        assert GainVector(1.0, 5).gains[2] == pascal_row(5)[2] == 10
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 13])
     def test_matches_pascal_triangle(self, n):
-        assert [binomial_coefficient(n, i) for i in range(n + 1)] == pascal_row(n)
+        gains = GainVector(1.0, n + 1)
+        assert gains.filter_weights.tolist() == pascal_row(n)
+        assert gains.gains.tolist() == pascal_row(n + 1)[: n + 1]
 
     def test_pascals_rule(self):
-        for n in range(2, 20):
+        # C(n, i) = C(n-1, i-1) + C(n-1, i); every value is below 2^53, so exact
+        for n in range(2, 50):
+            gains = GainVector(1.0, n)
             for i in range(1, n):
-                assert binomial_coefficient(n, i) == binomial_coefficient(
-                    n - 1, i - 1
-                ) + binomial_coefficient(n - 1, i)
+                assert gains.gains[i] == gains.filter_weights[i - 1] + gains.filter_weights[i]
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_coefficient(3, 4)
-        with pytest.raises(ValueError):
-            binomial_coefficient(-1, 0)
-        with pytest.raises(ValueError):
-            binomial_coefficient(3, -1)
-        with pytest.raises(ValueError):
-            binomial_coefficient(63, 2)
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="gain order must be >= 1"):
+                GainVector(1.0, order)
 
     def test_guard_boundary_is_exact(self):
-        assert binomial_coefficient(62, 31) == math.comb(62, 31)
+        # math.comb is exact past 2^63, so order 63 is held, like every other
+        # order, only to the finite-and-Hurwitz rule
+        for n in (62, 63):
+            assert GainVector(1.0, n).gains[n // 2] == float(math.comb(n, n // 2))
 
 
 def finite_gains(n, lam):
     try:
-        return bool(np.all(np.isfinite(binomial_gains(n, lam).gains)))
+        return bool(np.all(np.isfinite(GainVector(lam, n).gains)))
     except ValueError:
         return False
 
 
 class TestBinomialGains:
     def test_hand_expansions(self):
-        np.testing.assert_allclose(binomial_gains(1, 3.0).gains, [3.0])
-        np.testing.assert_allclose(binomial_gains(2, 2.0).gains, [4.0, 4.0])
-        np.testing.assert_allclose(binomial_gains(3, 1.0).gains, [1.0, 3.0, 3.0])
+        np.testing.assert_allclose(GainVector(3.0, 1).gains, [3.0])
+        np.testing.assert_allclose(GainVector(2.0, 2).gains, [4.0, 4.0])
+        np.testing.assert_allclose(GainVector(1.0, 3).gains, [1.0, 3.0, 3.0])
 
     def test_char_polynomial_is_shifted_binomial(self):
-        poly = binomial_gains(3, 2.0).char_polynomial()
+        poly = GainVector(2.0, 3).char_polynomial()
         # (p + 2)^3 = p^3 + 6p^2 + 12p + 8
         np.testing.assert_allclose(poly.coefficients, [1.0, 6.0, 12.0, 8.0])
 
@@ -83,7 +83,7 @@ class TestBinomialGains:
     def test_all_roots_at_minus_lambda(self, n, lam):
         # coefficient oracle: repeated convolution with (p + lam); on this grid
         # every product is exactly representable, so equality is bitwise
-        poly = binomial_gains(n, lam).char_polynomial()
+        poly = GainVector(lam, n).char_polynomial()
         exact = np.array([1.0])
         for _ in range(n):
             exact = np.convolve(exact, [1.0, lam])
@@ -97,7 +97,7 @@ class TestBinomialGains:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
     def test_gains_are_hurwitz(self, n, lam):
-        assert hurwitz_check(binomial_gains(n, lam).char_polynomial())
+        assert hurwitz_check(GainVector(lam, n).char_polynomial())
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_gains_are_hurwitz_across_the_float_range(self, n):
@@ -110,17 +110,17 @@ class TestBinomialGains:
             largest = math.nextafter(largest, math.inf)
         lams = [1e-50, 1.0, 1e100, 4e102, 5e102, largest]
         for lam in [lam for lam in lams if lam <= largest]:
-            assert hurwitz_check(binomial_gains(n, lam).char_polynomial()) is True, lam
+            assert hurwitz_check(GainVector(lam, n).char_polynomial()) is True, lam
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binomial_gains(2, 0.0)
+            GainVector(0.0, 2)
         with pytest.raises(ValueError):
-            binomial_gains(2, -1.0)
+            GainVector(-1.0, 2)
         with pytest.raises(ValueError):
-            binomial_gains(0, 1.0)
+            GainVector(1.0, 0)
         with pytest.raises(ValueError, match="beyond the float range"):
-            binomial_gains(2, 1e200)
+            GainVector(1e200, 2)
 
     def test_gain_vector_rejects_nonpositive(self):
         # the gains are computed from lambda and the order, never given, so
@@ -190,7 +190,7 @@ class TestHurwitzCheck:
         # overflow the Routh rows; checking them must warn of nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hurwitz_check(binomial_gains(2, lam).char_polynomial()) is True
+            assert hurwitz_check(GainVector(lam, 2).char_polynomial()) is True
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_agrees_with_root_oracle_on_random_polynomials(self, degree):
@@ -257,7 +257,7 @@ class TestFilteredError:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("lam", [0.3, 2.0, 7.5])
     def test_gain_filter_weights_match_binomial_expansion(self, n, lam):
-        gains = binomial_gains(n, lam)
+        gains = GainVector(lam, n)
         expected = [pascal_row(n - 1)[i] * lam ** (n - 1 - i) for i in range(n)]
         assert gains.filter_weights.tolist() == expected
         assert not gains.filter_weights.flags.writeable

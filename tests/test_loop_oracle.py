@@ -14,14 +14,13 @@ agree with the oracle bit for bit.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neurofl.config import COMPENSATED
 from neurofl.controller import ControllerState
-from neurofl.dynamics import StateVector, binomial_gains
+from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
@@ -220,9 +219,9 @@ DISTURBANCES = {
 
 
 def controller(order, mode, lam=2.0, u_limit=None, weight_cap=None):
-    net = replace(default_network(9, 0.8, 40.0), leakage=0.05, weight_cap=weight_cap)
+    net = default_network(9, 0.8, 40.0, kappa=0.05, weight_cap=weight_cap)
     return ControllerState(
-        gains=binomial_gains(order, lam), network=net if mode == COMPENSATED else None, u_limit=u_limit
+        gains=GainVector(lam, order), network=net if mode == COMPENSATED else None, u_limit=u_limit
     )
 
 
@@ -325,7 +324,7 @@ def test_matches_oracle_through_divergence_in_control_law():
     # s = lam*(x - x_d) + (x' - x_d') overflow to -inf at t = 0, and the
     # adaptation step faults on it
     plant = order_plant(2)
-    ctrl = ControllerState(gains=binomial_gains(2, 1e10), network=default_network(9, 0.8, 40.0))
+    ctrl = ControllerState(gains=GainVector(1e10, 2), network=default_network(9, 0.8, 40.0))
     traj = assert_matches_oracle(
         plant, plant, ctrl, constant_reference(1e300, 2), no_disturbance(), 0.1, 1e-2, 1, x0=[2.4, 0.0],
     )

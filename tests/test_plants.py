@@ -285,3 +285,23 @@ class TestDisturbances:
             noise_disturbance(1.0, cutoff_hz=1.0, sample_dt=0.0)
         with pytest.raises(ValueError, match=r"^seed: must be >= 0 for noise$"):
             noise_disturbance(1.0, cutoff_hz=1.0, seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key, build",
+        [
+            ("offset", lambda v: constant_disturbance(v, bound=0.5)),
+            ("amplitude", lambda v: sinusoid_disturbance(v, 1.0, bound=0.5)),
+            ("frequency_hz", lambda v: sinusoid_disturbance(0.1, v, bound=0.5)),
+            ("phase", lambda v: sinusoid_disturbance(0.1, 1.0, phase=v, bound=0.5)),
+            ("amplitude", lambda v: noise_disturbance(v, 5.0, bound=0.5)),
+            ("cutoff_hz", lambda v: noise_disturbance(0.1, v)),
+            ("sample_dt", lambda v: noise_disturbance(0.1, 5.0, sample_dt=v)),
+        ],
+        ids=["offset", "amplitude", "frequency_hz", "phase", "noise-amplitude", "cutoff_hz", "sample_dt"],
+    )
+    def test_non_finite_fields_are_rejected(self, key, build, value):
+        # a NaN offset passes |offset| <= bound, and an infinite frequency
+        # would fail in math.sin in the middle of a run
+        with pytest.raises(ValueError, match=rf"^{key}: must be finite$"):
+            build(value)

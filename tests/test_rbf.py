@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neurofl.dynamics import binomial_gains
+from neurofl.controller import ControllerState, control_step
+from neurofl.dynamics import GainVector
 from neurofl.errors import DivergenceFault
-from neurofl.rbf import (
-    RbfNetwork,
-    activations,
-    adapt_weights,
-    default_network,
-    gaussian_basis,
-    network_output,
-)
+from neurofl.plants import PlantModel
+from neurofl.rbf import RbfNetwork, _adapt_with_phi, activations, default_network
 
 # frozen oracle: exp(-1/2) evaluated independently
 EXP_MINUS_HALF = 0.6065306597126334
@@ -36,6 +31,16 @@ def make_net(centers, widths=None, weights=None, eta=1.0, kappa=0.0, cap=None):
         leakage=kappa,
         weight_cap=cap,
     )
+
+
+def gaussian_oracle(s, mu, sigma):
+    """Independent oracle: phi = exp(-(s - mu)^2 / (2 sigma^2))."""
+    return math.exp(-((s - mu) ** 2) / (2.0 * sigma * sigma))
+
+
+def gaussian_basis(s, mu, sigma):
+    """The network's basis response at s for one neuron at mu of width sigma."""
+    return activations(make_net([mu], widths=[sigma]), s)[0]
 
 
 class TestGaussianBasis:
@@ -87,7 +92,7 @@ class TestActivations:
         for s in (-1.7, 0.0, 0.42, 2.9):
             got = activations(net, s)
             for i in range(net.neuron_count):
-                assert got[i] == gaussian_basis(s, net.centers[i], net.widths[i])
+                assert got[i] == gaussian_oracle(s, net.centers[i], net.widths[i])
 
     def test_dense_sweep_matches_scalar_basis_bitwise(self):
         # 61 neurons on [-1, 1]; s over [-3, 3] plus a cluster around 0
@@ -96,23 +101,38 @@ class TestActivations:
         sweep = [*np.linspace(-3.0, 3.0, 10_001).tolist(), *near_zero]
         centers, widths = net.centers.tolist(), net.widths.tolist()
         for s in sweep:
-            expected = [gaussian_basis(s, mu, sigma) for mu, sigma in zip(centers, widths)]
+            expected = [gaussian_oracle(s, mu, sigma) for mu, sigma in zip(centers, widths)]
             assert activations(net, s).tolist() == expected, s
+
+
+def d_hat(net, s):
+    """The disturbance estimate sum_i w_i phi_i(s) that control_step applies
+    at combined error s: on an order-1 loop s is the state error itself."""
+    ctrl = ControllerState(gains=GainVector(1.0, 1), network=net)
+    plant = PlantModel(order=1, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 1.0, b_min=0.5, name="integrator")
+    _, _, log = control_step(ctrl, plant, np.array([s]), np.array([0.0]), 0.0, 0.0, 1e-3)
+    assert log.s == s
+    return log.d_hat
+
+
+def adapt(net, s, dt):
+    """The network's weights after one adaptation step at s."""
+    return _adapt_with_phi(net, net.weights, s, dt, activations(net, s))
 
 
 class TestNetworkOutput:
     def test_zero_weights_give_zero(self):
         net = make_net([-1.0, 0.0, 1.0])
         for s in (-3.0, 0.0, 0.7):
-            assert network_output(net, s) == 0.0
+            assert d_hat(net, s) == 0.0
 
     def test_single_neuron_at_center(self):
         net = make_net([0.5], weights=[2.0])
-        assert network_output(net, 0.5) == 2.0
+        assert d_hat(net, 0.5) == 2.0
 
     def test_antisymmetric_pair_cancels(self):
         net = make_net([-1.0, 1.0], weights=[1.0, -1.0])
-        assert network_output(net, 0.0) == pytest.approx(0.0, abs=1e-16)
+        assert d_hat(net, 0.0) == pytest.approx(0.0, abs=1e-16)
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(3)
@@ -121,62 +141,56 @@ class TestNetworkOutput:
         v = rng.standard_normal(5)
         a, b = 1.3, -0.7
         for s in rng.uniform(-2, 2, 10):
-            combined = network_output(make_net(centers, weights=a * w + b * v), s)
-            separate = a * network_output(make_net(centers, weights=w), s) + b * network_output(
-                make_net(centers, weights=v), s
-            )
+            combined = d_hat(make_net(centers, weights=a * w + b * v), s)
+            separate = a * d_hat(make_net(centers, weights=w), s) + b * d_hat(make_net(centers, weights=v), s)
             assert combined == pytest.approx(separate, rel=1e-12, abs=1e-14)
 
 
 class TestAdaptWeights:
     def test_zero_error_is_identity(self):
         net = make_net([-1.0, 0.0, 1.0], weights=[0.3, -0.2, 0.5])
-        out = adapt_weights(net, 0.0, 0.1)
-        np.testing.assert_array_equal(out.weights, net.weights)
+        np.testing.assert_array_equal(adapt(net, 0.0, 0.1), net.weights)
 
     def test_single_neuron_euler_step(self):
         # sigma chosen so phi(2) = 0.5 exactly: (s-mu)^2 = 2 sigma^2 ln 2
         sigma = math.sqrt(2.0 / math.log(2.0))
         net = make_net([0.0], widths=[sigma], weights=[0.0], eta=1.0)
-        assert gaussian_basis(2.0, 0.0, sigma) == pytest.approx(0.5, rel=1e-15)
-        out = adapt_weights(net, 2.0, 0.1)
+        assert gaussian_oracle(2.0, 0.0, sigma) == pytest.approx(0.5, rel=1e-15)
         # dw = eta * s * phi * dt = 1 * 2 * 0.5 * 0.1
-        assert out.weights[0] == pytest.approx(0.1, rel=1e-12)
+        assert adapt(net, 2.0, 0.1)[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_positive_error_grows_every_weight(self):
         net = make_net([-1.0, 0.0, 1.0], weights=[0.3, -0.2, 0.5])
-        out = adapt_weights(net, 0.8, 0.05)
-        assert np.all(out.weights > net.weights)
+        assert np.all(adapt(net, 0.8, 0.05) > net.weights)
 
     def test_leakage_pulls_toward_zero(self):
         net = make_net([0.0], weights=[1.0], eta=1.0, kappa=2.0)
-        out = adapt_weights(net, 0.0, 0.1)
-        assert out.weights[0] == pytest.approx(0.8)
+        assert adapt(net, 0.0, 0.1)[0] == pytest.approx(0.8)
 
     def test_weight_cap_clamps(self):
         net = make_net([0.0], weights=[0.0], eta=100.0, cap=0.5)
-        out = adapt_weights(net, 1.0, 1.0)
-        assert out.weights[0] == 0.5
+        assert adapt(net, 1.0, 1.0)[0] == 0.5
 
     def test_original_network_unchanged(self):
         net = make_net([0.0], weights=[0.0])
-        adapt_weights(net, 1.0, 0.1)
+        w = np.array([0.25])
+        out = _adapt_with_phi(net, w, 1.0, 0.1, activations(net, 1.0))
+        assert out is not w
+        assert w[0] == 0.25
         assert net.weights[0] == 0.0
 
     def test_domain_errors(self):
         net = make_net([0.0])
-        with pytest.raises(ValueError):
-            adapt_weights(net, 1.0, 0.0)
         with pytest.raises(DivergenceFault):
-            adapt_weights(net, float("nan"), 0.1)
+            _adapt_with_phi(net, net.weights, float("nan"), 0.1, np.array([1.0]))
         with pytest.raises(DivergenceFault):
-            adapt_weights(net, float("inf"), 0.1)
+            _adapt_with_phi(net, net.weights, float("inf"), 0.1, np.array([0.0]))
         # eta*s overflows to inf for a finite s, and phi(2e9) = 0 makes inf*phi
         # NaN: a divergence, not NaN weights and a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceFault):
-                adapt_weights(make_net([0.0], eta=1e300), 2e9, 1e-3)
+                adapt(make_net([0.0], eta=1e300), 2e9, 1e-3)
 
     def test_update_direction_matches_output_gradient(self):
         # phi_i(s) should equal d(d_hat)/d(w_i), checked by central differences
@@ -189,16 +203,12 @@ class TestAdaptWeights:
                 wm = net.weights.copy()
                 wp[i] += h
                 wm[i] -= h
-                grad = (
-                    network_output(replace(net, weights=wp), s)
-                    - network_output(replace(net, weights=wm), s)
-                ) / (2 * h)
+                grad = (d_hat(replace(net, weights=wp), s) - d_hat(replace(net, weights=wm), s)) / (2 * h)
                 assert grad == pytest.approx(phi[i], rel=1e-6)
         # and one Euler step moves along +eta*s*phi when leakage is off
         s = 0.55
-        out = adapt_weights(net, s, 1e-3)
         np.testing.assert_allclose(
-            out.weights - net.weights,
+            adapt(net, s, 1e-3) - net.weights,
             1e-3 * net.learning_rate * s * activations(net, s),
             rtol=1e-12,
         )
@@ -223,13 +233,24 @@ class TestDefaultNetwork:
         np.testing.assert_allclose(np.diff(net.centers), 1.0)
         np.testing.assert_allclose(net.widths, 1.0)
 
+    def test_defaults_leakage_and_cap(self):
+        net = default_network()
+        assert (net.neuron_count, net.learning_rate, net.leakage, net.weight_cap) == (9, 5.0, 0.0, None)
+        np.testing.assert_array_equal(net.centers, np.linspace(-1.0, 1.0, 9))
+        net = default_network(3, 1.0, 0.5, kappa=0.2, weight_cap=4.0)
+        assert (net.leakage, net.weight_cap) == (0.2, 4.0)
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^neurons: "):
             default_network(0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^s_range: "):
             default_network(3, 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eta: "):
             default_network(3, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^kappa: "):
+            default_network(3, 1.0, 1.0, kappa=-0.1)
+        with pytest.raises(ValueError, match=r"^weight_cap: "):
+            default_network(3, 1.0, 1.0, weight_cap=0.0)
 
 
 class TestNetworkInvariants:
@@ -261,7 +282,6 @@ def test_ideal_representation_descent():
     """With the disturbance generated by a frozen copy of the network, the
     energy V = s^2/2 + |w - w*|^2/(2 eta) must not grow between samples beyond
     the per-step discretization tolerance."""
-    from neurofl.controller import ControllerState
     from neurofl.plants import no_disturbance, pendulum_plant
     from neurofl.simulation import constant_reference, ideal_disturbance_plant, run_closed_loop
 
@@ -273,7 +293,7 @@ def test_ideal_representation_descent():
     base = pendulum_plant(c=0.0)
     ref = constant_reference(0.0, 2)
     truth = ideal_disturbance_plant(base, target, ref, lam)
-    ctrl = ControllerState(gains=binomial_gains(2, lam), network=net)
+    ctrl = ControllerState(gains=GainVector(lam, 2), network=net)
     traj = run_closed_loop(
         truth, base, ctrl, ref, no_disturbance(), lam, 2.0, dt, 1,
         x0=[0.3, 0.0], record_weights=True,

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from neurofl import plants, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
-from neurofl.dynamics import StateVector, binomial_gains, filtered_error, tracking_error
+from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
     PlantModel,
@@ -54,7 +53,7 @@ def integrator_plant(b=1.0):
 
 
 def baseline_ctrl(lam=2.0):
-    return ControllerState(gains=binomial_gains(2, lam))
+    return ControllerState(gains=GainVector(lam, 2))
 
 
 class TestRk4Step:
@@ -486,8 +485,8 @@ class TestRunClosedLoop:
         # weights itself and builds no controller, network or log per sample,
         # neither through their constructors nor around them
         plant = pendulum_plant(c=0.2)
-        net = replace(default_network(9, 1.0, 50.0), weight_cap=0.05)
-        ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+        net = default_network(9, 1.0, 50.0, weight_cap=0.05)
+        ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
         args = (plant, plant, ctrl, sinusoid_reference(0.5, 1.0, 0.0, 2), sinusoid_disturbance(0.8, 0.5))
         weights = ctrl.network.weights.copy()
         built = []
@@ -528,7 +527,7 @@ class TestRunClosedLoop:
         traj = run_closed_loop(
             truth,
             integrator_plant(),
-            ControllerState(gains=binomial_gains(2, 0.5)),
+            ControllerState(gains=GainVector(0.5, 2)),
             constant_reference(1.0, 2),
             no_disturbance(),
             0.5,
@@ -591,7 +590,7 @@ class TestRunClosedLoop:
             b_min=0.5,
             name=f"linear{order}",
         )
-        ctrl = ControllerState(gains=binomial_gains(order, 2.0))
+        ctrl = ControllerState(gains=GainVector(2.0, order))
         args = (plant, plant, ctrl, constant_reference(0.2, order), sinusoid_disturbance(0.3, 0.5), 2.0)
         traj = run_closed_loop(*args, 0.2, 1e-2, 3)
         assert traj.terminal_event is None and len(traj) == 21
@@ -605,8 +604,8 @@ class TestRunClosedLoop:
         # weights geometrically (kappa 1e4 overflowed them to inf)
         def run(kappa):
             plant = pendulum_plant()
-            net = replace(default_network(9, 1.0, 5.0), leakage=kappa)
-            ctrl = ControllerState(gains=binomial_gains(2, 2.0), network=net)
+            net = default_network(9, 1.0, 5.0, kappa=kappa)
+            ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
             return run_closed_loop(
                 plant, plant, ctrl, constant_reference(0.0, 2), no_disturbance(), 2.0, 1.0, 1e-3, 1, x0=[0.5, 0.0]
             )
@@ -650,6 +649,27 @@ class TestRunClosedLoop:
             run_closed_loop(
                 plant, plant, ctrl, ref, no_disturbance(), 2.0, 1.0, 1e-3, 1, x0=[0.0]
             )
+
+
+@pytest.mark.parametrize(
+    "T, dt_ctrl, substeps, key",
+    [
+        (math.inf, 1e-3, 1, "T"),
+        (math.nan, 1e-3, 1, "T"),
+        (1.0, math.inf, 1, "dt_ctrl"),
+        (1.0, math.nan, 1, "dt_ctrl"),
+        # no whole interval fits: the run would hold the initial sample only
+        (1.0, 1e12, 1, "T"),
+        (1e300, 1e-300, 1, "T"),
+        (1.0, 1e-3, 1.5, "substeps"),
+        (1.0, 1e-3, 2.0, "substeps"),
+    ],
+)
+def test_horizon_rules_name_their_key(T, dt_ctrl, substeps, key):
+    plant = integrator_plant()
+    args = (plant, plant, baseline_ctrl(lam=2.0), constant_reference(0.0, 2), no_disturbance(), 2.0)
+    with pytest.raises(ValueError, match=rf"^{key}: "):
+        run_closed_loop(*args, T, dt_ctrl, substeps)
 
 
 def test_unforced_pendulum_energy_drift():
