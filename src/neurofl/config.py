@@ -1,17 +1,20 @@
 """Experiment configuration: strict JSON loading, validation, and assembly of
 the simulation objects.
 
-The schema is documented in the README. Building an ExperimentConfig is the
-one gate into a config, by config_from_dict, directly or by
-dataclasses.replace: it checks the shape of each field (unknown and required
-keys, with a nearest-key suggestion when one is an edit away, enums, types,
-finite numbers, integers, defaults), stores a normalized copy, and assembles
-the simulation objects. Every rule on a value has one home, the library
-constructor or helper that owns the value; assembly runs each rule, a library
-ValueError "key: ..." becomes a ConfigError "section.key: ...", and
-build_experiment returns the objects the config holds. config_from_dict only
-unpacks the JSON: root and section objects, their keys, repeated keys and the
-required plant section.
+The schema is documented in the README and declared once, on the fields of
+ExperimentConfig: each gives its dotted JSON key, its default and its shape
+check. Building an ExperimentConfig is the one gate into a config, by
+config_from_dict, directly or by dataclasses.replace: it runs each field's
+check (unknown and required keys, with a nearest-key suggestion when one is
+an edit away, enums, types, finite numbers, integers, defaults), stores a
+normalized copy, and assembles the simulation objects. Every rule on a value
+has one home, the library constructor or helper that owns the value; assembly
+runs each rule, a library ValueError "key: ..." becomes a ConfigError
+"section.key: ...", and build_experiment returns the objects the config
+holds. config_from_dict only unpacks the JSON: root and section objects,
+their keys, repeated keys and the required plant section, with the keys read
+from the declarations; the defaults fill in the keys the JSON leaves out, and
+to_dict writes the same keys back.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from .plants import (
     DISTURBANCE_BUILDERS,
     DisturbanceSpec,
     PlantModel,
+    _check_sinusoid_angle,
     duffing_plant,
     pendulum_plant,
     vanderpol_plant,
 )
 from .rbf import _check_leakage_step, default_network
-from .simulation import REFERENCE_BUILDERS, ReferenceSpec, _control_steps, _initial_state
+from .simulation import REFERENCE_BUILDERS, ReferenceSpec, _control_steps, _disturbance_horizon, _initial_state
 
 __all__ = ["ExperimentConfig", "ExperimentSetup", "load_config", "config_from_dict", "build_experiment"]
 
@@ -64,84 +68,6 @@ REFERENCE_KEYS = {
 }
 # a network without weight_cap has no cap
 NETWORK_DEFAULTS = _parameters(default_network, skip=("weight_cap",))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully-defaulted description of one experiment. Building one,
-    by any route, checks and copies its fields and assembles its simulation
-    objects, so an invalid field is a ConfigError naming its key then. The
-    stored sections are read-only: dataclasses.replace makes a changed
-    config."""
-
-    plant_name: str
-    plant_params: dict
-    disturbance: dict
-    reference: dict
-    mode: str
-    lam: float
-    network: dict
-    u_limit: float | None
-    T: float
-    dt_ctrl: float
-    substeps: int
-    x0: tuple | None
-    seed: int
-    out_dir: str | None
-    name: str
-    # the objects assembled from the fields above; build_experiment returns them
-    _setup: ExperimentSetup = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # dataclasses.replace passes every stored field back in, so each
-        # check accepts its own output
-        checked = {
-            "plant_params": _parse_plant(self.plant_name, self.plant_params),
-            "disturbance": _parse_disturbance(self.disturbance),
-            "reference": _parse_reference(self.reference),
-            "mode": _enum(self.mode, (BASELINE, COMPENSATED), "controller.mode"),
-            "lam": _number(self.lam, "controller.lambda"),
-            "u_limit": None if self.u_limit is None else _number(self.u_limit, "controller.u_limit"),
-            "network": _parse_network(self.network),
-            "T": _number(self.T, "simulation.T"),
-            "dt_ctrl": _number(self.dt_ctrl, "simulation.dt_ctrl"),
-            "substeps": _integer(self.substeps, "simulation.substeps"),
-            "x0": _parse_x0(self.x0),
-            "out_dir": None if self.out_dir is None else _string(self.out_dir, "output.dir"),
-            "seed": _integer(self.seed, "seed"),
-            "name": _string(self.name, "name"),
-        }
-        for key, value in checked.items():
-            object.__setattr__(self, key, _frozen(value))
-        object.__setattr__(self, "_setup", _assemble(self))
-
-    def __reduce__(self):
-        # the setup holds closures: a copy or an unpickled config assembles its own
-        return ExperimentConfig, tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-    def to_dict(self) -> dict:
-        """JSON-ready mapping; load_config on the result round-trips."""
-        cfg = {
-            "name": self.name,
-            "seed": self.seed,
-            "plant": {"name": self.plant_name, "params": self.plant_params},
-            "disturbance": self.disturbance,
-            "reference": self.reference,
-            "controller": {"mode": self.mode, "lambda": self.lam, "network": self.network},
-            "simulation": {
-                "T": self.T,
-                "dt_ctrl": self.dt_ctrl,
-                "substeps": self.substeps,
-            },
-        }
-        if self.u_limit is not None:
-            cfg["controller"]["u_limit"] = self.u_limit
-        if self.x0 is not None:
-            cfg["simulation"]["x0"] = self.x0
-        if self.out_dir is not None:
-            cfg["output"] = {"dir": self.out_dir}
-        # a caller may edit the result, and no edit reaches the config
-        return _thawed(cfg)
 
 
 @dataclass(frozen=True)
@@ -287,47 +213,46 @@ def _keyed(prefix: str, root_keys=()):
         raise ConfigError(("" if message.partition(":")[0] in root_keys else prefix) + message) from exc
 
 
-def _parse_plant(name, given) -> dict:
-    """The plant's parameters: the builder's defaults updated by given."""
-    _enum(name, PLANT_DEFAULTS, "plant.name")
-    given = _object(given, "plant.params")
-    _reject_unknown(given, PLANT_DEFAULTS[name], "plant.params")
-    return {**PLANT_DEFAULTS[name], **{key: _number(val, f"plant.params.{key}") for key, val in given.items()}}
+def _parse_plant(given, context: str, name: str) -> dict:
+    """The parameters of plant name: the builder's defaults updated by given."""
+    given = _object(given, context)
+    _reject_unknown(given, PLANT_DEFAULTS[name], context)
+    return {**PLANT_DEFAULTS[name], **{key: _number(val, f"{context}.{key}") for key, val in given.items()}}
 
 
-def _parse_disturbance(section) -> dict:
-    section = _object(section, "disturbance")
-    kind = _enum(section.get("kind", "none"), DISTURBANCE_KEYS, "disturbance.kind")
+def _parse_disturbance(section, context: str) -> dict:
+    section = _object(section, context)
+    kind = _enum(section.get("kind", "none"), DISTURBANCE_KEYS, f"{context}.kind")
     keys = DISTURBANCE_KEYS[kind]
-    _reject_unknown(section, ("kind", *keys), "disturbance")
+    _reject_unknown(section, ("kind", *keys), context)
     out = {"kind": kind}
     for key in keys:
         if key in section:
             check = _integer if key == "seed" else _number
-            out[key] = check(section[key], f"disturbance.{key}")
+            out[key] = check(section[key], f"{context}.{key}")
     for key, default in keys.items():
         if default is inspect.Parameter.empty and key not in out:
-            raise ConfigError(f"disturbance.{key}: required for kind '{kind}'")
+            raise ConfigError(f"{context}.{key}: required for kind '{kind}'")
     return out
 
 
-def _parse_reference(section) -> dict:
-    section = _object(section, "reference")
-    kind = _enum(section.get("kind", "constant"), REFERENCE_KEYS, "reference.kind")
-    _reject_unknown(section, ("kind", *REFERENCE_KEYS[kind]), "reference")
+def _parse_reference(section, context: str) -> dict:
+    section = _object(section, context)
+    kind = _enum(section.get("kind", "constant"), REFERENCE_KEYS, f"{context}.kind")
+    _reject_unknown(section, ("kind", *REFERENCE_KEYS[kind]), context)
     out = {"kind": kind}
     if kind == "constant":
-        out["level"] = _get_number(section, "level", "reference", default=0.0)
+        out["level"] = _get_number(section, "level", context, default=0.0)
     elif kind == "sinusoid":
-        out.update(_parse_sinusoid(section, "reference"))
+        out.update(_parse_sinusoid(section, context))
     else:
         comps = section.get("components")
         # a stored config holds its components as a tuple
         if not isinstance(comps, (list, tuple)) or not comps:
-            raise ConfigError("reference.components: must be a non-empty list")
+            raise ConfigError(f"{context}.components: must be a non-empty list")
         parsed = []
         for i, comp in enumerate(comps):
-            ctx = f"reference.components[{i}]"
+            ctx = f"{context}.components[{i}]"
             if not isinstance(comp, dict):
                 raise ConfigError(f"{ctx}: must be an object")
             _reject_unknown(comp, REFERENCE_KEYS["sinusoid"], ctx)
@@ -338,71 +263,129 @@ def _parse_reference(section) -> dict:
 
 def _parse_sinusoid(section: dict, context: str) -> dict:
     """One sinusoid: a sinusoid reference or one component of a sum."""
-    out = {
+    return {
         "amplitude": _get_number(section, "amplitude", context, required=True),
         "omega": _get_number(section, "omega", context, required=True),
         "phase": _get_number(section, "phase", context, default=0.0),
     }
-    # the library accepts any finite omega; a config asks for a frequency
-    if not (out["omega"] > 0.0):
-        raise ConfigError(f"{context}.omega: must be > 0")
-    return out
 
 
-def _parse_network(section) -> dict:
-    section = _object(section, "controller.network")
-    _reject_unknown(section, (*NETWORK_DEFAULTS, "weight_cap"), "controller.network")
+def _parse_network(section, context: str) -> dict:
+    section = _object(section, context)
+    _reject_unknown(section, (*NETWORK_DEFAULTS, "weight_cap"), context)
     out = dict(NETWORK_DEFAULTS)
     for key, val in section.items():
-        where = f"controller.network.{key}"
+        where = f"{context}.{key}"
         out[key] = _integer(val, where) if key == "neurons" else _number(val, where)
     return out
 
 
-def _parse_x0(x0) -> tuple | None:
+def _parse_x0(x0, where: str) -> tuple | None:
     if x0 is None:
         return None
     if not isinstance(x0, (list, tuple)):
-        raise ConfigError("simulation.x0: must be a list of numbers")
-    return tuple(_number(v, f"simulation.x0[{i}]") for i, v in enumerate(x0))
+        raise ConfigError(f"{where}: must be a list of numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(x0))
 
 
-def _section(raw: dict, key: str, known) -> dict:
-    section = _object(raw.get(key), key)
-    _reject_unknown(section, known, key)
-    return section
+def _field(key: str, check, default=None, *, reads: str | None = None, required: bool = False):
+    """An ExperimentConfig field: its dotted JSON key, its default, and
+    check(value, key), or check(value, key, value of the field named reads),
+    which gives the stored value. A required field's JSON section must be
+    given."""
+    return field(default=default, metadata={"key": key, "check": check, "reads": reads, "required": required})
+
+
+def _one_of(choices):
+    """The check of an enum."""
+    return lambda val, where: _enum(val, choices, where)
+
+
+def _optional(check):
+    """check, with None for an absent value."""
+    return lambda val, where: None if val is None else check(val, where)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated, fully-defaulted description of one experiment. Building one,
+    by any route, checks and copies its fields and assembles its simulation
+    objects, so an invalid field is a ConfigError naming its key then. The
+    stored sections are read-only: dataclasses.replace makes a changed
+    config.
+
+    Each field declares its JSON key, its default and its shape check, in
+    the order to_dict writes them; config_from_dict and to_dict read the
+    keys from here."""
+
+    name: str = _field("name", _string, "experiment")
+    seed: int = _field("seed", _integer, 0)
+    # None fails the enum: a config names its plant
+    plant_name: str = _field("plant.name", _one_of(PLANT_DEFAULTS), required=True)
+    plant_params: dict = _field("plant.params", _parse_plant, reads="plant_name")
+    disturbance: dict = _field("disturbance", _parse_disturbance)
+    reference: dict = _field("reference", _parse_reference)
+    mode: str = _field("controller.mode", _one_of((BASELINE, COMPENSATED)), BASELINE)
+    lam: float = _field("controller.lambda", _number, 1.0)
+    network: dict = _field("controller.network", _parse_network)
+    u_limit: float | None = _field("controller.u_limit", _optional(_number))
+    T: float = _field("simulation.T", _number, 10.0)
+    dt_ctrl: float = _field("simulation.dt_ctrl", _number, 1e-3)
+    substeps: int = _field("simulation.substeps", _integer, 1)
+    x0: tuple | None = _field("simulation.x0", _parse_x0)
+    out_dir: str | None = _field("output.dir", _optional(_string))
+    # the objects assembled from the fields above; build_experiment returns them
+    _setup: ExperimentSetup = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # dataclasses.replace passes every stored field back in, so each
+        # check accepts its own output; a field is checked after the one it
+        # reads
+        for f in _FIELDS:
+            meta = f.metadata
+            read = () if meta["reads"] is None else (getattr(self, meta["reads"]),)
+            value = meta["check"](getattr(self, f.name), meta["key"], *read)
+            object.__setattr__(self, f.name, _frozen(value))
+        object.__setattr__(self, "_setup", _assemble(self))
+
+    def __reduce__(self):
+        # the setup holds closures: a copy or an unpickled config assembles its own
+        return ExperimentConfig, tuple(getattr(self, f.name) for f in _FIELDS)
+
+    def to_dict(self) -> dict:
+        """JSON-ready mapping, without the optional keys that are None;
+        load_config on the result round-trips."""
+        cfg = {}
+        for name, section, key in _PATHS:
+            value = getattr(self, name)
+            if value is not None:
+                (cfg.setdefault(section, {}) if section else cfg)[key] = value
+        # a caller may edit the result, and no edit reaches the config
+        return _thawed(cfg)
+
+
+_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.init)
+# each field's (name, section, key in the section); section "" is the root
+_PATHS = tuple((f.name, *f.metadata["key"].rpartition(".")[::2]) for f in _FIELDS)
+_ROOT_KEYS = tuple(dict.fromkeys(section or key for _, section, key in _PATHS))
+_SECTIONS = {section: tuple(key for _, s, key in _PATHS if s == section) for _, section, _ in _PATHS if section}
+_REQUIRED_SECTIONS = {f.metadata["key"].rpartition(".")[0] for f in _FIELDS if f.metadata["required"]}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Unpack a parsed JSON mapping into an ExperimentConfig, with the
-    documented defaults; the config checks every field."""
+    """Unpack a parsed JSON mapping into an ExperimentConfig, passing the keys
+    it gives; the config fills in the defaults and checks every field."""
     if not isinstance(raw, dict):
         raise ConfigError("config root: must be an object")
-    _reject_unknown(
-        raw, ("name", "seed", "plant", "disturbance", "reference", "controller", "simulation", "output"), ""
-    )
-    if raw.get("plant") is None:
-        raise ConfigError("plant: required section is missing")
-    plant = _section(raw, "plant", ("name", "params"))
-    ctrl = _section(raw, "controller", ("mode", "lambda", "u_limit", "network"))
-    sim = _section(raw, "simulation", ("T", "dt_ctrl", "substeps", "x0"))
-    output = _section(raw, "output", ("dir",))
+    _reject_unknown(raw, _ROOT_KEYS, "")
+    sections = {"": raw}
+    for section, known in _SECTIONS.items():
+        if section in _REQUIRED_SECTIONS and raw.get(section) is None:
+            raise ConfigError(f"{section}: required section is missing")
+        sections[section] = _object(raw.get(section), section)
+        _reject_unknown(sections[section], known, section)
     return ExperimentConfig(
-        plant_name=plant.get("name"),
-        plant_params=plant.get("params"),
-        disturbance=raw.get("disturbance"),
-        reference=raw.get("reference"),
-        mode=ctrl.get("mode", BASELINE),
-        lam=ctrl.get("lambda", 1.0),
-        network=ctrl.get("network"),
-        u_limit=ctrl.get("u_limit"),
-        T=sim.get("T", 10.0),
-        dt_ctrl=sim.get("dt_ctrl", 1e-3),
-        substeps=sim.get("substeps", 1),
-        x0=sim.get("x0"),
-        seed=raw.get("seed", 0),
-        out_dir=output.get("dir"),
-        name=raw.get("name", "experiment"),
+        **{name: sections[section][key] for name, section, key in _PATHS if key in sections[section]}
     )
 
 
@@ -461,13 +444,14 @@ def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
         ctrl = ControllerState(gains, network if cfg.mode == COMPENSATED else None, cfg.u_limit)
     with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)
+    with _keyed("simulation."):
+        steps = _control_steps(cfg.T, cfg.dt_ctrl, cfg.substeps)
+        if cfg.x0 is not None:
+            _initial_state(cfg.x0, plant.order)
     # a noise disturbance without a seed of its own draws from the root seed
     with _keyed("disturbance.", root_keys=() if "seed" in cfg.disturbance else ("seed",)):
         dist = _build_disturbance(cfg.disturbance, cfg.seed, cfg.dt_ctrl)
-    with _keyed("simulation."):
-        _control_steps(cfg.T, cfg.dt_ctrl, cfg.substeps)
-        if cfg.x0 is not None:
-            _initial_state(cfg.x0, plant.order)
+        _check_sinusoid_angle(dist, _disturbance_horizon(steps, cfg.dt_ctrl, cfg.substeps))
     return ExperimentSetup(
         truth=plant,
         nominal=plant,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,37 +135,29 @@ class GainVector:
 def hurwitz_check(poly: CharPolynomial) -> bool:
     """True iff every root of the polynomial has strictly negative real part.
 
-    Routh tabulation on the coefficient rows; a zero pivot means marginal or
-    unstable and is reported as not Hurwitz (no epsilon perturbation). The
-    rows are those of p = 2^e q with every |a_i / 2^(e i)| <= 1: the roots
-    scale by 2^-e, signs kept, and the rows of (p + lam)^n stay finite.
+    Routh tabulation on the coefficient rows, in exact rational arithmetic:
+    a float is a dyadic rational, so the answer is the one for the stored
+    coefficients, at any order. A first-column entry that is not positive,
+    zero included, means marginal or unstable and is reported as not
+    Hurwitz.
     """
     deg = poly.degree
     if deg < 1:
         raise ValueError("polynomial degree must be >= 1")
-    # Python floats: an overflow in the rows gives inf or nan, and no warning
-    coeffs = poly.coefficients.tolist()
-    # ceil(log2|a_i| / i) from the binary exponent; ldexp scales exactly
-    e = max(((math.frexp(a)[1] + i - 1) // i for i, a in enumerate(coeffs) if i and a), default=0)
-    coeffs = [math.ldexp(a, -e * i) for i, a in enumerate(coeffs)]
+    coeffs = [Fraction(a) for a in poly.coefficients.tolist()]
     row_hi = coeffs[0::2]
     row_lo = coeffs[1::2]
     width = len(row_hi)
-    row_lo += [0.0] * (width - len(row_lo))
+    row_lo += [Fraction(0)] * (width - len(row_lo))
 
-    first_column = [row_hi[0]]
     for _ in range(deg):
         pivot = row_lo[0]
-        if pivot == 0.0:
+        if pivot <= 0:
             return False
-        first_column.append(pivot)
-        nxt = [
-            (pivot * row_hi[j + 1] - row_hi[0] * row_lo[j + 1]) / pivot
-            for j in range(width - 1)
-        ]
-        nxt.append(0.0)
+        nxt = [row_hi[j + 1] - row_hi[0] * row_lo[j + 1] / pivot for j in range(width - 1)]
+        nxt.append(Fraction(0))
         row_hi, row_lo = row_lo, nxt
-    return all(v > 0.0 for v in first_column)
+    return True
 
 
 def tracking_error(x: StateVector, x_d: StateVector) -> StateVector:

@@ -196,6 +196,14 @@ DISTURBANCE_BUILDERS = {
 }
 
 
+def _check_sinusoid_angle(spec: DisturbanceSpec, t_end: float) -> None:
+    """A sinusoid's angle 2*pi*frequency_hz*t + phase, evaluated as
+    disturbance_sampler evaluates it, is finite for t in [0, t_end]. Rounding
+    keeps the angle monotonic in t, so its value at t_end decides."""
+    if spec.kind == "sinusoid" and not math.isfinite(2.0 * math.pi * spec.frequency_hz * t_end + spec.phase):
+        raise ValueError(f"frequency_hz: 2*pi*frequency_hz*t + phase must stay finite up to t = {t_end:g}")
+
+
 def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     """Filtered noise samples 0..count-1; regenerating a longer prefix from the
     same seed reproduces the shorter one exactly."""
@@ -231,6 +239,7 @@ def disturbance_sampler(spec: DisturbanceSpec, t_end: float):
         offset = spec.offset
         return lambda t: offset
     if kind == "sinusoid":
+        _check_sinusoid_angle(spec, t_end)
         # (2 pi f) t evaluates as the product 2.0 * pi * f * t does
         amplitude, omega, phase = spec.amplitude, 2.0 * math.pi * spec.frequency_hz, spec.phase
         return lambda t: amplitude * math.sin(omega * t + phase)

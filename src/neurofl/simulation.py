@@ -45,8 +45,8 @@ EVENT_CONTROLLABILITY = "controllability_fault"
 class ReferenceSpec:
     """Desired trajectory with exact derivatives of every order.
 
-    Sinusoidal components are (amplitude, omega, phase) triples with omega in
-    rad/s; the k-th derivative of A sin(w t + p) is A w^k sin(w t + p + k pi/2).
+    Sinusoidal components are (amplitude, omega, phase) triples with omega > 0
+    in rad/s; the k-th derivative of A sin(w t + p) is A w^k sin(w t + p + k pi/2).
     The coefficients A w^k and shifts k pi/2 up to k = order are computed
     once, at construction.
     """
@@ -69,6 +69,10 @@ class ReferenceSpec:
         # the key a config names: with a finite amplitude, a sinusoid's A w^k
         # overflows through omega
         key = "omega" if self.kind == "sinusoid" else "components"
+        for i, (_, omega, _) in enumerate(self.components):
+            if not (omega > 0.0):
+                where = "omega" if self.kind == "sinusoid" else f"components[{i}].omega"
+                raise ValueError(f"{where}: must be > 0")
         object.__setattr__(self, "_terms", _sinusoid_terms(self.components, self.order, key))
 
 
@@ -294,6 +298,14 @@ def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
     return steps
 
 
+def _disturbance_horizon(steps: int, dt_ctrl: float, substeps: int) -> float:
+    """The last time a run of steps control intervals reads the disturbance.
+    It reads it at the samples and at the RK4 stage times, the last of which
+    ends the final interval."""
+    h = dt_ctrl / substeps
+    return max(steps * dt_ctrl, (steps - 1) * dt_ctrl + (substeps - 1) * h + h)
+
+
 def _initial_state(x0, n: int) -> np.ndarray:
     """x0 as a new float array of the n entries of an order-n state, each
     finite and within the divergence limit."""
@@ -357,10 +369,7 @@ def run_closed_loop(
     if record_weights and ctrl.network is not None:
         w_hist = np.empty((count, ctrl.network.neuron_count))
 
-    # The disturbance is read at the samples and at the RK4 stage times, the
-    # last of which ends the final interval.
-    h = dt_ctrl / substeps
-    d = disturbance_sampler(dist, max(steps * dt_ctrl, (steps - 1) * dt_ctrl + (substeps - 1) * h + h))
+    d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
 
     # From here on y and x_d are raw arrays: y is finite (x0 was checked and
     # _rk4 rejects non-finite states) and reference values are finite by

@@ -94,6 +94,26 @@ VALUE_RULES = [
     # no control interval fits in T, and T/dt_ctrl beyond the float range
     ("simulation.T", "simulation._control_steps", {"simulation": {"T": 1.0, "dt_ctrl": 1e12}}),
     ("simulation.T", "simulation._control_steps", {"simulation": {"T": 1e300, "dt_ctrl": 1e-300}}),
+    ("reference.omega", "simulation.ReferenceSpec", {"reference": {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.0}}),
+    (
+        "reference.components[1].omega",
+        "simulation.ReferenceSpec",
+        {
+            "reference": {
+                "kind": "sum-of-sinusoids",
+                "components": [{"amplitude": 1.0, "omega": 1.0}, {"amplitude": 1.0, "omega": -2.0}],
+            }
+        },
+    ),
+    # 2*pi*frequency_hz*t overflows from t = 2.9 on, inside the horizon
+    (
+        "disturbance.frequency_hz",
+        "plants._check_sinusoid_angle",
+        {
+            "disturbance": {"kind": "sinusoid", "amplitude": 0.1, "frequency_hz": 1e307, "bound": 0.5},
+            "simulation": {"T": 10.0, "dt_ctrl": 0.01},
+        },
+    ),
 ]
 
 # Where each ExperimentConfig field sits in the JSON.
@@ -146,7 +166,7 @@ SHAPE_RULES = [
     ("disturbance.offset", "disturbance", {"kind": "constant", "offset": None}),
     ("reference.level", "reference", {"kind": "constant", "level": -math.inf}),
     ("controller.network.eta", "network", {"eta": "5"}),
-    ("reference.omega", "reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.0}),
+    ("reference.omega", "reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": "2"}),
     ("simulation.x0", "x0", "0, 0"),
     ("simulation.x0[1]", "x0", [0.0, "0"]),
     ("name", "name", 3),
@@ -278,6 +298,23 @@ def test_stored_sections_are_read_only():
     assert type(written["disturbance"]) is dict and type(components.to_dict()["reference"]["components"]) is list
     changed = replace(cfg, disturbance={**cfg.disturbance, "offset": 0.4})
     assert build_experiment(changed).dist.offset == 0.4 and cfg.disturbance["offset"] == 0.3
+
+
+def test_field_keys_are_the_declared_keys():
+    declared = {f.name: tuple(f.metadata["key"].split(".")) for f in fields(ExperimentConfig) if f.init}
+    assert declared == FIELD_KEYS
+
+
+def test_library_and_json_routes_share_the_defaults():
+    assert ExperimentConfig(plant_name="pendulum") == config_from_dict(minimal_config())
+
+
+def test_readme_schema_is_the_minimal_config():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+    raw = json.loads(re.sub(r"//.*", "", block))
+    cfg = config_from_dict(raw)
+    assert cfg == config_from_dict(minimal_config()) == ExperimentConfig(plant_name="pendulum")
 
 
 class TestConfigValidation:
@@ -656,6 +693,15 @@ class TestCmdSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert "simulation.T: must be at least one dt_ctrl" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_disturbance_angle_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # the angle 2*pi*frequency_hz*t overflows partway through the run
+        disturbance = {"kind": "sinusoid", "amplitude": 0.1, "frequency_hz": 1e307, "bound": 0.5}
+        path = write_config(tmp_path, minimal_config(disturbance=disturbance, simulation={"T": 10.0, "dt_ctrl": 0.01}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "disturbance.frequency_hz: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):

@@ -192,6 +192,19 @@ class TestHurwitzCheck:
             warnings.simplefilter("error")
             assert hurwitz_check(GainVector(lam, 2).char_polynomial()) is True
 
+    @pytest.mark.parametrize("order", [78, 100])
+    def test_binomial_gains_are_hurwitz_at_high_order(self, order):
+        # (p + 1)^n with its coefficients rounded to floats, as GainVector(1.0, n)
+        # rounds them; a float Routh tabulation called it unstable from order 78 on
+        assert hurwitz_check(CharPolynomial(np.array(pascal_row(order), dtype=float))) is True
+
+    def test_rounded_gains_that_leave_the_open_left_half_plane(self):
+        # the smallest order above 100 whose rounded binomial gains have a
+        # root with Re >= 0: all n roots of (p + 1)^n sit at -1, where a
+        # rounding of the coefficients moves them by its n-th root
+        with pytest.raises(ValueError, match=r"^lambda: lambda=1 gives order-112 gains that are not Hurwitz$"):
+            GainVector(1.0, 112)
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_agrees_with_root_oracle_on_random_polynomials(self, degree):
         rng = np.random.default_rng(degree)

@@ -286,6 +286,23 @@ class TestDisturbances:
         with pytest.raises(ValueError, match=r"^seed: must be >= 0 for noise$"):
             noise_disturbance(1.0, cutoff_hz=1.0, seed=-1)
 
+    @pytest.mark.parametrize(
+        "frequency_hz, phase, t_end",
+        [(1e308, 0.0, 0.0), (1e308, 0.0, 0.01), (1e307, 0.0, 10.0), (1e307, 1.7e308, 1.0)],
+    )
+    def test_sinusoid_angle_must_stay_finite_up_to_the_horizon(self, frequency_hz, phase, t_end):
+        # math.sin of an infinite or NaN angle raised a bare math domain
+        # error in the middle of a run
+        spec = sinusoid_disturbance(0.1, frequency_hz, phase=phase, bound=0.5)
+        with pytest.raises(ValueError, match=r"^frequency_hz: 2\*pi\*frequency_hz\*t \+ phase must stay finite"):
+            disturbance_sampler(spec, t_end)
+        with pytest.raises(ValueError, match=r"^frequency_hz: "):
+            disturbance_sample(spec, t_end)
+
+    def test_sinusoid_angle_within_the_float_range_runs(self):
+        d = disturbance_sampler(sinusoid_disturbance(0.1, 1e307, bound=0.5), 2.0)
+        assert all(abs(d(t)) <= 0.1 for t in (0.0, 1.0, 2.0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "key, build",

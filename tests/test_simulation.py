@@ -235,6 +235,11 @@ class TestReferenceAt:
             constant_reference(0.0, 0)
         with pytest.raises(ValueError):
             sum_of_sinusoids_reference([], 2)
+        for omega in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^omega: must be > 0$"):
+                sinusoid_reference(1.0, omega, 0.0, 2)
+            with pytest.raises(ValueError, match=r"^components\[1\]\.omega: must be > 0$"):
+                sum_of_sinusoids_reference([(1.0, 1.0, 0.0), (1.0, omega, 0.0)], 2)
 
     def test_non_finite_values_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -618,6 +623,13 @@ class TestRunClosedLoop:
             traj = run(1500.0)
         assert compute_metrics(traj).bounded
         assert np.isfinite(traj.w_norm).all()
+
+    def test_disturbance_angle_must_stay_finite(self):
+        # 2*pi*1e308 overflows: math.sin raised a bare math domain error
+        plant = pendulum_plant()
+        dist = sinusoid_disturbance(0.1, 1e308, bound=0.5)
+        with pytest.raises(ValueError, match=r"^frequency_hz: "):
+            run_closed_loop(plant, plant, baseline_ctrl(), constant_reference(0.0, 2), dist, 2.0, 0.01, 1e-3, 1)
 
     def test_T_must_be_whole_number_of_dt_ctrl(self):
         # T = 1.0 at dt_ctrl = 0.3 would end the run at t = 0.9
