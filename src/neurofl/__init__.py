@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .config import BASELINE, COMPENSATED
 from .controller import ControllerState, StepLog, control_step
 from .dynamics import (
-    CharPolynomial,
     GainVector,
     StateVector,
     filtered_error,

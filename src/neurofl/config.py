@@ -7,14 +7,19 @@ check. Building an ExperimentConfig is the one gate into a config, by
 config_from_dict, directly or by dataclasses.replace: it runs each field's
 check (unknown and required keys, with a nearest-key suggestion when one is
 an edit away, enums, types, finite numbers, integers, defaults), stores a
-normalized copy, and assembles the simulation objects. Every rule on a value
-has one home, the library constructor or helper that owns the value; assembly
-runs each rule, a library ValueError "key: ..." becomes a ConfigError
-"section.key: ...", and build_experiment returns the objects the config
-holds. config_from_dict only unpacks the JSON: root and section objects,
-their keys, repeated keys and the required plant section, with the keys read
-from the declarations; the defaults fill in the keys the JSON leaves out, and
-to_dict writes the same keys back.
+normalized copy, and assembles the simulation objects. The keys inside
+plant.params, controller.network, disturbance and reference are the
+parameters of the builders those sections configure, read from their
+signatures, and one parser checks them all: a parameter annotated int takes
+a JSON integer, any other a finite number, and one without a default is a
+required key. Every rule on a value has one home, the library constructor
+or helper that owns the value; assembly runs each rule, a library
+ValueError "key: ..." becomes a ConfigError "section.key: ...", and
+build_experiment returns the objects the config holds. config_from_dict
+only unpacks the JSON: root and section objects, their keys, repeated keys
+and the required plant section, with the keys read from the declarations;
+the defaults fill in the keys the JSON leaves out, and to_dict writes the
+same keys back.
 """
 
 from __future__ import annotations
@@ -51,23 +56,6 @@ PLANT_BUILDERS = {
     "duffing": duffing_plant,
     "vanderpol": vanderpol_plant,
 }
-
-
-def _parameters(build, skip=()) -> dict:
-    """A builder's parameters mapped to their defaults (Parameter.empty if required)."""
-    return {name: p.default for name, p in inspect.signature(build).parameters.items() if name not in skip}
-
-
-# Read from the signatures once, at import: the benchmark's traced run
-# replaces PLANT_BUILDERS with (*args, **kwargs) wrappers afterwards.
-PLANT_DEFAULTS = {name: _parameters(build) for name, build in PLANT_BUILDERS.items()}
-DISTURBANCE_KEYS = {kind: _parameters(build) for kind, build in DISTURBANCE_BUILDERS.items()}
-# the reference's order is the plant's, not a key
-REFERENCE_KEYS = {
-    kind: tuple(_parameters(build, skip=("order",))) for kind, build in REFERENCE_BUILDERS.items()
-}
-# a network without weight_cap has no cap
-NETWORK_DEFAULTS = _parameters(default_network, skip=("weight_cap",))
 
 
 @dataclass(frozen=True)
@@ -165,14 +153,6 @@ def _number(val, where: str) -> float:
     return val
 
 
-def _get_number(mapping: dict, key: str, context: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{context}.{key}: required key is missing")
-        return default
-    return _number(mapping[key], f"{context}.{key}")
-
-
 def _integer(val, where: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool):
         raise ConfigError(f"{where}: must be an integer")
@@ -213,71 +193,84 @@ def _keyed(prefix: str, root_keys=()):
         raise ConfigError(("" if message.partition(":")[0] in root_keys else prefix) + message) from exc
 
 
-def _parse_plant(given, context: str, name: str) -> dict:
-    """The parameters of plant name: the builder's defaults updated by given."""
-    given = _object(given, context)
-    _reject_unknown(given, PLANT_DEFAULTS[name], context)
-    return {**PLANT_DEFAULTS[name], **{key: _number(val, f"{context}.{key}") for key, val in given.items()}}
+_REQUIRED = inspect.Parameter.empty
 
 
-def _parse_disturbance(section, context: str) -> dict:
-    section = _object(section, context)
-    kind = _enum(section.get("kind", "none"), DISTURBANCE_KEYS, f"{context}.kind")
-    keys = DISTURBANCE_KEYS[kind]
-    _reject_unknown(section, ("kind", *keys), context)
-    out = {"kind": kind}
-    for key in keys:
+def _keys(build, stored=True, skip=(), **overrides) -> dict:
+    """The keys of the section that configures build, read from its signature.
+    Each maps to its check, _integer for a parameter annotated int and
+    _number otherwise, and to the value an absent key stores: _REQUIRED for
+    a parameter without a default, else the default if stored, and None,
+    which stores nothing, if not. overrides gives a parameter's (check,
+    absent value) in their place."""
+    keys = {}
+    for name, p in inspect.signature(build, eval_str=True).parameters.items():
+        if name not in skip:
+            absent = p.default if stored or p.default is _REQUIRED else None
+            keys[name] = overrides.get(name, (_integer if p.annotation is int else _number, absent))
+    return keys
+
+
+def _arguments(section, keys: dict, where: str) -> dict:
+    """The arguments the JSON object section gives the builder whose keys are
+    keys (see _keys), in the order of its parameters: each given value
+    checked, each absent one its stored default."""
+    section = _object(section, where)
+    _reject_unknown(section, keys, where)
+    out = {}
+    for key, (check, absent) in keys.items():
         if key in section:
-            check = _integer if key == "seed" else _number
-            out[key] = check(section[key], f"{context}.{key}")
-    for key, default in keys.items():
-        if default is inspect.Parameter.empty and key not in out:
-            raise ConfigError(f"{context}.{key}: required for kind '{kind}'")
+            out[key] = check(section[key], f"{where}.{key}")
+        elif absent is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: required key is missing")
+        elif absent is not None:
+            out[key] = absent
     return out
 
 
-def _parse_reference(section, context: str) -> dict:
-    section = _object(section, context)
-    kind = _enum(section.get("kind", "constant"), REFERENCE_KEYS, f"{context}.kind")
-    _reject_unknown(section, ("kind", *REFERENCE_KEYS[kind]), context)
-    out = {"kind": kind}
-    if kind == "constant":
-        out["level"] = _get_number(section, "level", context, default=0.0)
-    elif kind == "sinusoid":
-        out.update(_parse_sinusoid(section, context))
-    else:
-        comps = section.get("components")
-        # a stored config holds its components as a tuple
-        if not isinstance(comps, (list, tuple)) or not comps:
-            raise ConfigError(f"{context}.components: must be a non-empty list")
-        parsed = []
-        for i, comp in enumerate(comps):
-            ctx = f"{context}.components[{i}]"
-            if not isinstance(comp, dict):
-                raise ConfigError(f"{ctx}: must be an object")
-            _reject_unknown(comp, REFERENCE_KEYS["sinusoid"], ctx)
-            parsed.append(_parse_sinusoid(comp, ctx))
-        out["components"] = parsed
-    return out
+def _components(comps, where: str) -> list:
+    """A sum's components: a non-empty list of objects, each with the keys of
+    a sinusoid reference."""
+    # a stored config holds its components as a tuple
+    if not isinstance(comps, (list, tuple)) or not comps:
+        raise ConfigError(f"{where}: must be a non-empty list")
+    parsed = []
+    for i, comp in enumerate(comps):
+        # a null section is an absent one, but a null component is no sinusoid
+        if comp is None:
+            raise ConfigError(f"{where}[{i}]: must be an object")
+        parsed.append(_arguments(comp, REFERENCE_KEYS["sinusoid"], f"{where}[{i}]"))
+    return parsed
 
 
-def _parse_sinusoid(section: dict, context: str) -> dict:
-    """One sinusoid: a sinusoid reference or one component of a sum."""
-    return {
-        "amplitude": _get_number(section, "amplitude", context, required=True),
-        "omega": _get_number(section, "omega", context, required=True),
-        "phase": _get_number(section, "phase", context, default=0.0),
-    }
+# Read from the signatures once, at import: the benchmark's traced run
+# replaces PLANT_BUILDERS with (*args, **kwargs) wrappers afterwards.
+PLANT_KEYS = {name: _keys(build) for name, build in PLANT_BUILDERS.items()}
+# a network without weight_cap has no cap: its default None stores nothing
+NETWORK_KEYS = _keys(default_network)
+# a noise disturbance without a seed or sample_dt of its own takes the root
+# seed and the control step, so no default is stored
+DISTURBANCE_KEYS = {kind: _keys(build, stored=False) for kind, build in DISTURBANCE_BUILDERS.items()}
+# the reference's order is the plant's, not a key; the builders require
+# level and phase, which a config leaves at 0.0
+REFERENCE_KEYS = {
+    kind: _keys(
+        build, skip=("order",), level=(_number, 0.0), phase=(_number, 0.0), components=(_components, _REQUIRED)
+    )
+    for kind, build in REFERENCE_BUILDERS.items()
+}
 
 
-def _parse_network(section, context: str) -> dict:
-    section = _object(section, context)
-    _reject_unknown(section, (*NETWORK_DEFAULTS, "weight_cap"), context)
-    out = dict(NETWORK_DEFAULTS)
-    for key, val in section.items():
-        where = f"{context}.{key}"
-        out[key] = _integer(val, where) if key == "neurons" else _number(val, where)
-    return out
+def _of_kind(tables: dict, default: str):
+    """The check of a section whose "kind", default default, chooses its keys
+    from tables; the stored section gives its kind first."""
+
+    def check(section, where):
+        section = _object(section, where)
+        kind = _enum(section.get("kind", default), tables, f"{where}.kind")
+        return _arguments(section, {"kind": (_one_of(tables), kind), **tables[kind]}, where)
+
+    return check
 
 
 def _parse_x0(x0, where: str) -> tuple | None:
@@ -321,13 +314,15 @@ class ExperimentConfig:
     name: str = _field("name", _string, "experiment")
     seed: int = _field("seed", _integer, 0)
     # None fails the enum: a config names its plant
-    plant_name: str = _field("plant.name", _one_of(PLANT_DEFAULTS), required=True)
-    plant_params: dict = _field("plant.params", _parse_plant, reads="plant_name")
-    disturbance: dict = _field("disturbance", _parse_disturbance)
-    reference: dict = _field("reference", _parse_reference)
+    plant_name: str = _field("plant.name", _one_of(PLANT_KEYS), required=True)
+    plant_params: dict = _field(
+        "plant.params", lambda val, where, name: _arguments(val, PLANT_KEYS[name], where), reads="plant_name"
+    )
+    disturbance: dict = _field("disturbance", _of_kind(DISTURBANCE_KEYS, "none"))
+    reference: dict = _field("reference", _of_kind(REFERENCE_KEYS, "constant"))
     mode: str = _field("controller.mode", _one_of((BASELINE, COMPENSATED)), BASELINE)
     lam: float = _field("controller.lambda", _number, 1.0)
-    network: dict = _field("controller.network", _parse_network)
+    network: dict = _field("controller.network", lambda val, where: _arguments(val, NETWORK_KEYS, where))
     u_limit: float | None = _field("controller.u_limit", _optional(_number))
     T: float = _field("simulation.T", _number, 10.0)
     dt_ctrl: float = _field("simulation.dt_ctrl", _number, 1e-3)

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "StateVector",
     "GainVector",
-    "CharPolynomial",
     "hurwitz_check",
     "tracking_error",
     "filtered_error",
@@ -70,28 +69,6 @@ class StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class CharPolynomial:
-    """Monic real polynomial, coefficients stored by descending power.
-
-    coefficients[0] is the leading 1; coefficients[-1] is the constant term.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly_array(self.coefficients, "polynomial coefficients")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("polynomial coefficients must all be finite")
-        if arr[0] != 1.0:
-            raise ValueError("polynomial must be monic (leading coefficient 1)")
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-
-@dataclass(frozen=True, eq=False)
 class GainVector:
     """Feedback gains gains[i] = C(n, i) * lam^(n-i) pairing with the i-th
     error derivative, so the error characteristic polynomial is (p + lam)^n.
@@ -121,19 +98,17 @@ class GainVector:
         for name, arr in (("gains", gains), ("filter_weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # a Hurwitz polynomial has only positive coefficients, so this also
-        # rejects a lambda whose gains underflow to 0
-        if not hurwitz_check(self.char_polynomial()):
-            raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains that are not Hurwitz")
-
-    def char_polynomial(self) -> CharPolynomial:
-        """p^n + gains[n-1] p^(n-1) + ... + gains[0], descending storage."""
-        coeffs = np.concatenate(([1.0], self.gains[::-1]))
-        return CharPolynomial(coeffs)
+        # p^n + gains[n-1] p^(n-1) + ... + gains[0]; a Hurwitz polynomial has
+        # only positive coefficients, so a gain that underflowed to 0 fails
+        if not hurwitz_check([1.0, *gains[::-1].tolist()]):
+            if not gains.min() > 0.0:
+                raise ValueError(f"lambda: lambda={lam:g} gives order-{n} gains that are not Hurwitz")
+            raise ValueError(f"gain order {n}: the gains of (p + lambda)^{n} rounded to floats are not Hurwitz")
 
 
-def hurwitz_check(poly: CharPolynomial) -> bool:
-    """True iff every root of the polynomial has strictly negative real part.
+def hurwitz_check(coefficients) -> bool:
+    """True iff every root of the real polynomial with these coefficients, by
+    descending power, has strictly negative real part.
 
     Routh tabulation on the coefficient rows, in exact rational arithmetic:
     a float is a dyadic rational, so the answer is the one for the stored
@@ -141,10 +116,14 @@ def hurwitz_check(poly: CharPolynomial) -> bool:
     zero included, means marginal or unstable and is reported as not
     Hurwitz.
     """
-    deg = poly.degree
+    deg = len(coefficients) - 1
     if deg < 1:
         raise ValueError("polynomial degree must be >= 1")
-    coeffs = [Fraction(a) for a in poly.coefficients.tolist()]
+    if not all(map(math.isfinite, coefficients)):
+        raise ValueError("polynomial coefficients must all be finite")
+    if not coefficients[0] > 0.0:
+        raise ValueError("polynomial leading coefficient must be > 0")
+    coeffs = [Fraction(a) for a in coefficients]
     row_hi = coeffs[0::2]
     row_lo = coeffs[1::2]
     width = len(row_hi)

@@ -234,14 +234,21 @@ def _plant_deriv(plant: PlantModel, u: float, d):
     b_min = plant.b_min
 
     def accel(y, tau):
-        b = b_eval(y, tau)
-        if abs(b) < b_min:
-            raise ControllabilityFault(
-                f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
-                state=np.array(y),
-                t=tau,
-            )
-        return f_eval(y, tau) + b * u + d(tau)
+        try:
+            b = b_eval(y, tau)
+            if abs(b) < b_min:
+                raise ControllabilityFault(
+                    f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
+                    state=np.array(y),
+                    t=tau,
+                )
+            return f_eval(y, tau) + b * u + d(tau)
+        except ValueError as exc:
+            # a stage state that overflowed to inf is a divergence, whatever
+            # the plant's math makes of it (math.sin(inf) raises ValueError)
+            if all(map(math.isfinite, y)):
+                raise
+            raise DivergenceFault(f"non-finite RK4 stage state at t={tau:.6g}") from exc
 
     return accel
 

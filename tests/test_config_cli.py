@@ -177,6 +177,8 @@ SHAPE_RULES = [
     ("controller.network", "network", [9]),
     ("reference.components", "reference", {"kind": SUM, "components": []}),
     ("reference.components[0]", "reference", {"kind": SUM, "components": [1.0]}),
+    ("reference.components", "reference", {"kind": SUM}),
+    ("reference.components[0]", "reference", {"kind": SUM, "components": [None]}),
 ]
 
 
@@ -315,6 +317,198 @@ def test_readme_schema_is_the_minimal_config():
     raw = json.loads(re.sub(r"//.*", "", block))
     cfg = config_from_dict(raw)
     assert cfg == config_from_dict(minimal_config()) == ExperimentConfig(plant_name="pendulum")
+
+
+REQUIRED, UNSTORED = "required", "unstored"
+PENDULUM = {"name": "pendulum"}
+
+# Each section whose keys are a builder's parameters: its dotted key, the
+# config that holds a given section there, and every key with a valid value,
+# the value stored for it (a float parameter given as a JSON integer is
+# stored as a float), and what the section stores when the key is absent: a
+# default, REQUIRED, or UNSTORED for nothing.
+BUILDER_SECTIONS = {
+    "pendulum": (
+        "plant.params",
+        lambda s: {"plant": {**PENDULUM, "params": s}},
+        {"m": (2, 2.0, 1.0), "l": (2, 2.0, 1.0), "c": (1, 1.0, 0.0), "g": (10, 10.0, 9.81)},
+    ),
+    "duffing": (
+        "plant.params",
+        lambda s: {"plant": {"name": "duffing", "params": s}},
+        {"a": (1, 1.0, 0.2), "b1": (2, 2.0, 1.0), "b2": (3, 3.0, 1.0), "gain": (2, 2.0, 1.0)},
+    ),
+    "vanderpol": (
+        "plant.params",
+        lambda s: {"plant": {"name": "vanderpol", "params": s}},
+        {"mu": (2, 2.0, 1.0), "gain": (2, 2.0, 1.0)},
+    ),
+    "network": (
+        "controller.network",
+        lambda s: {"plant": PENDULUM, "controller": {"mode": "compensated", "network": s}},
+        {
+            "neurons": (5, 5, 9),
+            "s_range": (2, 2.0, 1.0),
+            "eta": (3, 3.0, 5.0),
+            "kappa": (1, 1.0, 0.0),
+            "weight_cap": (4, 4.0, UNSTORED),
+        },
+    ),
+    "constant disturbance": (
+        "disturbance",
+        lambda s: {"plant": PENDULUM, "disturbance": {"kind": "constant", **s}},
+        {"offset": (1, 1.0, REQUIRED), "bound": (2, 2.0, UNSTORED)},
+    ),
+    "sinusoid disturbance": (
+        "disturbance",
+        lambda s: {"plant": PENDULUM, "disturbance": {"kind": "sinusoid", **s}},
+        {
+            "amplitude": (1, 1.0, REQUIRED),
+            "frequency_hz": (2, 2.0, REQUIRED),
+            "phase": (1, 1.0, UNSTORED),
+            "bound": (2, 2.0, UNSTORED),
+        },
+    ),
+    # the noise's seed and sample_dt follow the root seed and dt_ctrl unless given
+    "noise disturbance": (
+        "disturbance",
+        lambda s: {"plant": PENDULUM, "disturbance": {"kind": "band-limited-noise", **s}},
+        {
+            "amplitude": (1, 1.0, REQUIRED),
+            "cutoff_hz": (5, 5.0, REQUIRED),
+            "seed": (3, 3, UNSTORED),
+            "sample_dt": (1, 1.0, UNSTORED),
+            "bound": (2, 2.0, UNSTORED),
+        },
+    ),
+    "constant reference": (
+        "reference",
+        lambda s: {"plant": PENDULUM, "reference": {"kind": "constant", **s}},
+        {"level": (2, 2.0, 0.0)},
+    ),
+    "sinusoid reference": (
+        "reference",
+        lambda s: {"plant": PENDULUM, "reference": {"kind": "sinusoid", **s}},
+        {"amplitude": (1, 1.0, REQUIRED), "omega": (2, 2.0, REQUIRED), "phase": (1, 1.0, 0.0)},
+    ),
+    "sum component": (
+        "reference.components[0]",
+        lambda s: {"plant": PENDULUM, "reference": {"kind": SUM, "components": [s]}},
+        {"amplitude": (1, 1.0, REQUIRED), "omega": (2, 2.0, REQUIRED), "phase": (1, 1.0, 0.0)},
+    ),
+}
+
+
+def section_at(cfg: dict, where: str):
+    """The value at a dotted key such as reference.components[0]."""
+    for part in where.split("."):
+        name, _, index = part.partition("[")
+        cfg = cfg[name]
+        if index:
+            cfg = cfg[int(index[:-1])]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, (_, _, keys) in BUILDER_SECTIONS.items() for key in keys],
+    ids=lambda v: v.replace(" ", "-"),
+)
+def test_builder_keys_are_checked_by_their_annotation(section, key):
+    where, place, keys = BUILDER_SECTIONS[section]
+    full = {k: given for k, (given, _, _) in keys.items()}
+    _, stored, absent = keys[key]
+    value = section_at(config_from_dict(place(full)).to_dict(), where)[key]
+    assert value == stored and type(value) is type(stored)
+    # an int parameter takes a JSON integer, any other parameter a number
+    wrong, rule = ((2.5, True), "must be an integer") if type(stored) is int else (("2", True), "must be a number")
+    for bad in wrong:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}\.{key}: {rule}$"):
+            config_from_dict(place({**full, key: bad}))
+    rest = {k: v for k, v in full.items() if k != key}
+    if absent == REQUIRED:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}\.{key}: required key is missing$"):
+            config_from_dict(place(rest))
+        return
+    given = section_at(config_from_dict(place(rest)).to_dict(), where)
+    if absent == UNSTORED:
+        assert key not in given
+    else:
+        assert given[key] == absent and type(given[key]) is type(absent)
+
+
+# json.dumps(to_dict()) of one config per plant, disturbance kind and
+# reference kind, frozen: the key order and every stored default
+FROZEN_TO_DICT = [
+    (
+        minimal_config(),
+        '{"name": "experiment", "seed": 0, "plant": {"name": "pendulum", "params": {"m": 1.0, "l": 1.0, "c": 0.0, '
+        '"g": 9.81}}, "disturbance": {"kind": "none"}, "reference": {"kind": "constant", "level": 0.0}, '
+        '"controller": {"mode": "baseline", "lambda": 1.0, "network": {"neurons": 9, "s_range": 1.0, "eta": 5.0, '
+        '"kappa": 0.0}}, "simulation": {"T": 10.0, "dt_ctrl": 0.001, "substeps": 1}}',
+    ),
+    (
+        {
+            "plant": {"name": "duffing", "params": {"gain": 2, "a": 0.1}},
+            "disturbance": {"sample_dt": 0.002, "amplitude": 0.1, "cutoff_hz": 5, "kind": "band-limited-noise"},
+            "reference": {
+                "kind": SUM,
+                "components": [{"omega": 1, "amplitude": 0.5}, {"phase": 0.2, "amplitude": 0.1, "omega": 3.0}],
+            },
+            "controller": {"network": {"weight_cap": 3, "eta": 2, "neurons": 5}, "mode": "compensated", "u_limit": 50},
+        },
+        '{"name": "experiment", "seed": 0, "plant": {"name": "duffing", "params": {"a": 0.1, "b1": 1.0, "b2": 1.0, '
+        '"gain": 2.0}}, "disturbance": {"kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5.0, '
+        '"sample_dt": 0.002}, "reference": {"kind": "sum-of-sinusoids", "components": [{"amplitude": 0.5, '
+        '"omega": 1.0, "phase": 0.0}, {"amplitude": 0.1, "omega": 3.0, "phase": 0.2}]}, "controller": {"mode": '
+        '"compensated", "lambda": 1.0, "network": {"neurons": 5, "s_range": 1.0, "eta": 2.0, "kappa": 0.0, '
+        '"weight_cap": 3.0}, "u_limit": 50.0}, "simulation": {"T": 10.0, "dt_ctrl": 0.001, "substeps": 1}}',
+    ),
+    (
+        {
+            "name": "x",
+            "seed": 7,
+            "plant": {"name": "vanderpol"},
+            "disturbance": {"kind": "sinusoid", "frequency_hz": 1, "amplitude": 0.2, "bound": 0.5},
+            "reference": {"kind": "sinusoid", "omega": 2.0, "amplitude": 1},
+            "output": {"dir": "o"},
+        },
+        '{"name": "x", "seed": 7, "plant": {"name": "vanderpol", "params": {"mu": 1.0, "gain": 1.0}}, '
+        '"disturbance": {"kind": "sinusoid", "amplitude": 0.2, "frequency_hz": 1.0, "bound": 0.5}, "reference": '
+        '{"kind": "sinusoid", "amplitude": 1.0, "omega": 2.0, "phase": 0.0}, "controller": {"mode": "baseline", '
+        '"lambda": 1.0, "network": {"neurons": 9, "s_range": 1.0, "eta": 5.0, "kappa": 0.0}}, "simulation": '
+        '{"T": 10.0, "dt_ctrl": 0.001, "substeps": 1}, "output": {"dir": "o"}}',
+    ),
+    (
+        {
+            "plant": {"name": "pendulum", "params": None},
+            "disturbance": {"bound": 1, "offset": 0.5, "kind": "constant"},
+            "reference": {"level": 2, "kind": "constant"},
+            "simulation": {"x0": [1, 2], "T": 1, "dt_ctrl": 0.01, "substeps": 2},
+        },
+        '{"name": "experiment", "seed": 0, "plant": {"name": "pendulum", "params": {"m": 1.0, "l": 1.0, "c": 0.0, '
+        '"g": 9.81}}, "disturbance": {"kind": "constant", "offset": 0.5, "bound": 1.0}, "reference": {"kind": '
+        '"constant", "level": 2.0}, "controller": {"mode": "baseline", "lambda": 1.0, "network": {"neurons": 9, '
+        '"s_range": 1.0, "eta": 5.0, "kappa": 0.0}}, "simulation": {"T": 1.0, "dt_ctrl": 0.01, "substeps": 2, '
+        '"x0": [1.0, 2.0]}}',
+    ),
+    (
+        minimal_config(disturbance={"seed": 3, "kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5, "bound": 0.2}),
+        '{"name": "experiment", "seed": 0, "plant": {"name": "pendulum", "params": {"m": 1.0, "l": 1.0, "c": 0.0, '
+        '"g": 9.81}}, "disturbance": {"kind": "band-limited-noise", "amplitude": 0.1, "cutoff_hz": 5.0, "seed": 3, '
+        '"bound": 0.2}, "reference": {"kind": "constant", "level": 0.0}, "controller": {"mode": "baseline", '
+        '"lambda": 1.0, "network": {"neurons": 9, "s_range": 1.0, "eta": 5.0, "kappa": 0.0}}, "simulation": '
+        '{"T": 10.0, "dt_ctrl": 0.001, "substeps": 1}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, frozen", FROZEN_TO_DICT, ids=range(len(FROZEN_TO_DICT)))
+def test_to_dict_is_frozen(raw, frozen):
+    cfg = config_from_dict(raw)
+    assert json.dumps(cfg.to_dict()) == frozen
+    # and what it writes loads back to the same config
+    assert config_from_dict(json.loads(frozen)) == cfg
 
 
 class TestConfigValidation:
@@ -653,6 +847,27 @@ class TestCmdSimulate:
         cfg["controller"]["network"]["s_range"] = 1.0
         path2 = write_config(tmp_path, cfg, "tame.json")
         assert main(["simulate", "--config", str(path2), "--out-dir", str(tmp_path / "tame")]) == 0
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"simulation": {"T": 1e201, "dt_ctrl": 1e200, "x0": [1.0, 0.0]}},
+            {
+                "reference": {"kind": "sinusoid", "omega": 1e100, "amplitude": 1e-100},
+                "simulation": {"T": 1e210, "dt_ctrl": 1e209},
+            },
+        ],
+        ids=["huge-step", "fast-reference"],
+    )
+    def test_stage_state_beyond_the_float_range_exits_3(self, tmp_path, capsys, sections):
+        # an RK4 stage overflows to inf, and the pendulum's math.sin(inf)
+        # raises ValueError: the run ends in a divergence, not a traceback
+        path = write_config(tmp_path, minimal_config(**sections))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["terminal_event"] == "divergence" and metrics["terminal_t"] == 0.0
+        assert capsys.readouterr().err == "run ended early: divergence at t=0\n"
 
     def test_byte_identical_across_processes(self, tmp_path):
         cfg = minimal_config(

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from neurofl.dynamics import (
-    CharPolynomial,
     GainVector,
     StateVector,
     filtered_error,
@@ -60,6 +59,11 @@ class TestBinomialCoefficient:
             assert GainVector(1.0, n).gains[n // 2] == float(math.comb(n, n // 2))
 
 
+def char_coefficients(lam, n):
+    """(p + lam)^n as GainVector rounds it: p^n + gains[n-1] p^(n-1) + ... + gains[0]."""
+    return [1.0, *GainVector(lam, n).gains[::-1]]
+
+
 def finite_gains(n, lam):
     try:
         return bool(np.all(np.isfinite(GainVector(lam, n).gains)))
@@ -74,30 +78,29 @@ class TestBinomialGains:
         np.testing.assert_allclose(GainVector(1.0, 3).gains, [1.0, 3.0, 3.0])
 
     def test_char_polynomial_is_shifted_binomial(self):
-        poly = GainVector(2.0, 3).char_polynomial()
         # (p + 2)^3 = p^3 + 6p^2 + 12p + 8
-        np.testing.assert_allclose(poly.coefficients, [1.0, 6.0, 12.0, 8.0])
+        np.testing.assert_allclose(char_coefficients(2.0, 3), [1.0, 6.0, 12.0, 8.0])
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
     def test_all_roots_at_minus_lambda(self, n, lam):
         # coefficient oracle: repeated convolution with (p + lam); on this grid
         # every product is exactly representable, so equality is bitwise
-        poly = GainVector(lam, n).char_polynomial()
+        coeffs = char_coefficients(lam, n)
         exact = np.array([1.0])
         for _ in range(n):
             exact = np.convolve(exact, [1.0, lam])
-        np.testing.assert_array_equal(poly.coefficients, exact)
+        np.testing.assert_array_equal(coeffs, exact)
         # companion-matrix eigenvalues scatter like lam * eps^(1/n) around a
         # multiplicity-n root, but their mean is anchored by the exact trace
-        roots = np.roots(poly.coefficients)
+        roots = np.roots(coeffs)
         assert np.all(np.abs(roots - (-lam)) < 2e-2 * max(1.0, lam))
         assert abs(np.mean(roots) - (-lam)) < 1e-9
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
     def test_gains_are_hurwitz(self, n, lam):
-        assert hurwitz_check(GainVector(lam, n).char_polynomial())
+        assert hurwitz_check(char_coefficients(lam, n))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_gains_are_hurwitz_across_the_float_range(self, n):
@@ -110,7 +113,7 @@ class TestBinomialGains:
             largest = math.nextafter(largest, math.inf)
         lams = [1e-50, 1.0, 1e100, 4e102, 5e102, largest]
         for lam in [lam for lam in lams if lam <= largest]:
-            assert hurwitz_check(GainVector(lam, n).char_polynomial()) is True, lam
+            assert hurwitz_check(char_coefficients(lam, n)) is True, lam
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -138,51 +141,57 @@ class TestBinomialGains:
         assert GainVector(lam=1e-150, order=2).gains[0] > 0.0
 
 
-class TestCharPolynomial:
-    def test_must_be_monic(self):
-        with pytest.raises(ValueError):
-            CharPolynomial(np.array([2.0, 1.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CharPolynomial(np.array([1.0, np.nan]))
-
-    def test_degree(self):
-        assert CharPolynomial(np.array([1.0, 2.0, 3.0])).degree == 2
-
-
 class TestHurwitzCheck:
     def test_double_root_at_minus_two(self):
-        assert hurwitz_check(CharPolynomial(np.array([1.0, 4.0, 4.0]))) is True
+        assert hurwitz_check(np.array([1.0, 4.0, 4.0])) is True
 
     def test_root_at_plus_one(self):
-        assert hurwitz_check(CharPolynomial(np.array([1.0, 0.0, -1.0]))) is False
+        assert hurwitz_check(np.array([1.0, 0.0, -1.0])) is False
 
     def test_imaginary_axis_pair(self):
         # roots are -1 and +/-i (checked against np.roots); marginal is not stable
-        poly = CharPolynomial(np.array([1.0, 1.0, 1.0, 1.0]))
-        roots = np.roots(poly.coefficients)
+        poly = np.array([1.0, 1.0, 1.0, 1.0])
+        roots = np.roots(poly)
         assert max(r.real for r in roots) < 1e-12  # none strictly positive
         assert any(abs(r.real) < 1e-12 for r in roots)  # but a pair sits on the axis
         assert hurwitz_check(poly) is False
 
     def test_stable_cubic(self):
         # (p+1)(p+2)(p+3)
-        assert hurwitz_check(CharPolynomial(np.array([1.0, 6.0, 11.0, 6.0]))) is True
+        assert hurwitz_check(np.array([1.0, 6.0, 11.0, 6.0])) is True
 
     def test_unstable_with_positive_leading_rows(self):
         # (p+1)(p-2)(p-3) = p^3 - 4p^2 + p + 6
-        assert hurwitz_check(CharPolynomial(np.array([1.0, -4.0, 1.0, 6.0]))) is False
+        assert hurwitz_check(np.array([1.0, -4.0, 1.0, 6.0])) is False
 
     def test_unstable_cubic_at_large_scale(self):
         # p^3 + lam p^2 + lam^2 p + 2 lam^3: the Routh row lam^2 - 2 lam^2 < 0
         lam = 1e100
-        poly = CharPolynomial(np.array([1.0, lam, lam**2, 2.0 * lam**3]))
+        poly = np.array([1.0, lam, lam**2, 2.0 * lam**3])
         assert hurwitz_check(poly) is False
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            hurwitz_check(CharPolynomial(np.array([1.0])))
+            hurwitz_check(np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([0.0, 1.0, 1.0], "leading coefficient must be > 0"),
+            ([-1.0, -2.0, -1.0], "leading coefficient must be > 0"),
+            ([1.0, math.nan, 1.0], "must all be finite"),
+            ([math.nan, 1.0], "must all be finite"),
+            ([1.0, 2.0, math.inf], "must all be finite"),
+        ],
+    )
+    def test_invalid_coefficients_rejected(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            hurwitz_check(coeffs)
+
+    def test_leading_coefficient_need_not_be_one(self):
+        # 2(p + 1)(p + 2) and 2(p + 1)(p - 2): scaling moves no root
+        assert hurwitz_check([2.0, 6.0, 4.0]) is True
+        assert hurwitz_check([2.0, -2.0, -4.0]) is False
 
     @pytest.mark.parametrize("lam", [1e150, 1e154])
     def test_overflowing_rows_warn_nothing(self, lam):
@@ -190,20 +199,25 @@ class TestHurwitzCheck:
         # overflow the Routh rows; checking them must warn of nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hurwitz_check(GainVector(lam, 2).char_polynomial()) is True
+            assert hurwitz_check(char_coefficients(lam, 2)) is True
 
     @pytest.mark.parametrize("order", [78, 100])
     def test_binomial_gains_are_hurwitz_at_high_order(self, order):
         # (p + 1)^n with its coefficients rounded to floats, as GainVector(1.0, n)
         # rounds them; a float Routh tabulation called it unstable from order 78 on
-        assert hurwitz_check(CharPolynomial(np.array(pascal_row(order), dtype=float))) is True
+        assert hurwitz_check([float(c) for c in pascal_row(order)]) is True
 
     def test_rounded_gains_that_leave_the_open_left_half_plane(self):
         # the smallest order above 100 whose rounded binomial gains have a
         # root with Re >= 0: all n roots of (p + 1)^n sit at -1, where a
-        # rounding of the coefficients moves them by its n-th root
-        with pytest.raises(ValueError, match=r"^lambda: lambda=1 gives order-112 gains that are not Hurwitz$"):
+        # rounding of the coefficients moves them by its n-th root. Every
+        # gain is finite and > 0, so the order is at fault, not lambda
+        with pytest.raises(ValueError, match=r"^gain order 112: .* not Hurwitz$"):
             GainVector(1.0, 112)
+        assert not hurwitz_check([float(c) for c in pascal_row(112)])
+        # a gain that underflows to 0 is lambda's fault
+        with pytest.raises(ValueError, match=r"^lambda: lambda=1e-200 gives order-2 gains that are not Hurwitz$"):
+            GainVector(1e-200, 2)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_agrees_with_root_oracle_on_random_polynomials(self, degree):
@@ -214,7 +228,7 @@ class TestHurwitzCheck:
             margin = max(r.real for r in roots)
             if abs(margin) < 1e-7:
                 continue  # too close to the axis for either method to call
-            assert hurwitz_check(CharPolynomial(coeffs)) == bool(margin < 0.0)
+            assert hurwitz_check(coeffs) == bool(margin < 0.0)
 
 
 class TestStateVector:

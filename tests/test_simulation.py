@@ -168,6 +168,21 @@ class TestOrder2Kernel:
         written_out, generic = both_kernels(_plant_deriv(plant, 0.0, lambda tau: 0.0), 0.0, 1e10, 0.25, 0.1)
         assert written_out == generic == (DivergenceFault, "non-finite state produced at t=0.25")
 
+    def test_domain_error_on_an_overflowed_stage_is_divergence(self):
+        # the second stage y0 + (dt/2)*y1 overflows to inf, and the
+        # pendulum's math.sin(inf) raises ValueError: math domain error
+        accel = _plant_deriv(pendulum_plant(), 0.0, lambda tau: 0.0)
+        written_out, generic = both_kernels(accel, 1.0, 1e300, 0.0, 1e10)
+        assert written_out == generic == (DivergenceFault, "non-finite RK4 stage state at t=5e+09")
+
+    def test_value_error_on_a_finite_stage_propagates(self):
+        def f_eval(x, t):
+            raise ValueError(f"plant fault at x0={x[0]:g}")
+
+        plant = PlantModel(order=2, f_eval=f_eval, b_eval=lambda x, t: 1.0, b_min=0.5, name="faulty")
+        written_out, generic = both_kernels(_plant_deriv(plant, 0.0, lambda tau: 0.0), 1.0, 1e300, 0.0, 1e10)
+        assert written_out == generic == (ValueError, "plant fault at x0=1")
+
     @pytest.mark.parametrize("trip_call", [2, 3])
     def test_controllability_fault_at_a_middle_stage(self, trip_call):
         # b falls below the guard on the trip_call-th evaluation only, so the
