@@ -16,6 +16,7 @@ from .dynamics import (
 from .errors import ConfigError, ControllabilityFault, DivergenceFault
 from .plants import (
     DisturbanceSpec,
+    Expression,
     PlantModel,
     constant_disturbance,
     disturbance_sample,

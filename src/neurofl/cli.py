@@ -36,21 +36,14 @@ def csv_header(order: int) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """One row per control sample; floats use shortest round-trip formatting
     so files are byte-stable across identical runs."""
-    lines = [",".join(csv_header(traj.order))]
-    for k in range(len(traj)):
-        cells = [repr(traj.t[k].item())]
-        cells += [repr(v.item()) for v in traj.x[k]]
-        cells += [repr(v.item()) for v in traj.x_d[k]]
-        cells += [
-            repr(traj.u[k].item()),
-            repr(traj.s[k].item()),
-            repr(traj.d_hat[k].item()),
-            repr(traj.d_true[k].item()),
-            repr(traj.w_norm[k].item()),
-            traj.event[k],
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [traj.t, *traj.x.T, *traj.x_d.T, traj.u, traj.s, traj.d_hat, traj.d_true, traj.w_norm]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(csv_header(traj.order)) + "\n")
+        # a block of rows at a time: each column converted to Python floats
+        # once, the rows formatted and written
+        for block in (slice(k, k + 1024) for k in range(0, len(traj), 1024)):
+            cells = zip(*(map(repr, col[block].tolist()) for col in columns), traj.event[block])
+            fh.writelines(",".join(row) + "\n" for row in cells)
 
 
 def _json_value(value):

@@ -38,6 +38,7 @@ from .plants import (
     DisturbanceSpec,
     PlantModel,
     _check_sinusoid_angle,
+    _noise_sample_count,
     duffing_plant,
     pendulum_plant,
     vanderpol_plant,
@@ -446,7 +447,9 @@ def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
     # a noise disturbance without a seed of its own draws from the root seed
     with _keyed("disturbance.", root_keys=() if "seed" in cfg.disturbance else ("seed",)):
         dist = _build_disturbance(cfg.disturbance, cfg.seed, cfg.dt_ctrl)
-        _check_sinusoid_angle(dist, _disturbance_horizon(steps, cfg.dt_ctrl, cfg.substeps))
+        horizon = _disturbance_horizon(steps, cfg.dt_ctrl, cfg.substeps)
+        _check_sinusoid_angle(dist, horizon)
+        _noise_sample_count(dist, horizon)
     return ExperimentSetup(
         truth=plant,
         nominal=plant,

@@ -2,13 +2,15 @@
 bounded disturbance generators.
 
 Plant evaluators accept anything indexable as the state (StateVector, a raw
-array, or the list or tuple of an RK4 stage), so the integrator can pass its
-working state straight through.
+array, or the tuple of an RK4 stage); the config plants' are Expressions,
+data that the RK4 interval inlines.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,47 @@ __all__ = [
     "noise_disturbance",
     "disturbance_sampler",
     "disturbance_sample",
+    "Expression",
 ]
+
+
+def _function_code(source: str):
+    """The code of the one function that source defines."""
+    return next(c for c in compile(source, "<generated>", "exec").co_consts if isinstance(c, types.CodeType))
+
+
+@functools.cache
+def _expression_code(text: str, signature: str):
+    """An Expression's compiled function and the names its text reads."""
+    names = compile(text, "<expression>", "eval").co_names
+    reads = "".join(f"    {v} = x[{int(v[1:])}]\n" for v in names if v[0] == "x" and v[1:].isdecimal())
+    return _function_code(f"def expression({signature}):\n{reads if 'x' in signature else ''}    return {text}"), names
+
+
+class Expression(functools.partial):
+    """A plant term f(x, t) or b(x, t), or a disturbance d(t) (signature
+    "t"), as data: one Python expression over the state x0, x1, ..., the time
+    t and the values in params (functions such as math.sin included),
+    compiled once per text. The RK4 interval inlines the text with the same
+    values bound, so both give the same bits. A partial of the compiled
+    function, whose globals are the parameters, so that a call costs what a
+    closure's does."""
+
+    __slots__ = ("text", "signature", "names")
+
+    def __new__(cls, text: str, params: dict | None = None, signature: str = "x, t"):
+        params = dict(params or {})
+        code, names = _expression_code(text, signature)
+        self = super().__new__(cls, types.FunctionType(code, params))
+        self.text, self.signature, self.names = text, signature, names
+        return self
+
+    @property
+    def params(self) -> dict:
+        return self.func.__globals__
+
+    def __reduce__(self):
+        return (Expression, (self.text, self.params, self.signature))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +104,8 @@ def pendulum_plant(m: float = 1.0, l: float = 1.0, c: float = 0.0, g: float = 9.
         raise ValueError(f"m: m*l^2 = {inertia:g} (l = {l:g}) leaves no positive finite input gain 1/(m*l^2)")
     return PlantModel(
         order=2,
-        f_eval=lambda x, t: -(g / l) * math.sin(x[0]) - c * x[1],
-        b_eval=lambda x, t: b,
+        f_eval=Expression("-(g / l) * sin(x0) - c * x1", {"g": g, "l": l, "c": c, "sin": math.sin}),
+        b_eval=Expression("b", {"b": b}),
         b_min=b / 2.0,
         name="pendulum",
         params={"m": m, "l": l, "c": c, "g": g},
@@ -81,8 +123,8 @@ def duffing_plant(a: float = 0.2, b1: float = 1.0, b2: float = 1.0, gain: float 
     """Duffing oscillator: acceleration -a*xdot - b1*x - b2*x^3 + gain*u."""
     return PlantModel(
         order=2,
-        f_eval=lambda x, t: -a * x[1] - b1 * x[0] - b2 * x[0] ** 3,
-        b_eval=lambda x, t: gain,
+        f_eval=Expression("-a * x1 - b1 * x0 - b2 * x0 ** 3", {"a": a, "b1": b1, "b2": b2}),
+        b_eval=Expression("gain", {"gain": gain}),
         b_min=_gain_guard(gain),
         name="duffing",
         params={"a": a, "b1": b1, "b2": b2, "gain": gain},
@@ -93,8 +135,8 @@ def vanderpol_plant(mu: float = 1.0, gain: float = 1.0) -> PlantModel:
     """Van der Pol oscillator: acceleration mu*(1 - x^2)*xdot - x + gain*u."""
     return PlantModel(
         order=2,
-        f_eval=lambda x, t: mu * (1.0 - x[0] ** 2) * x[1] - x[0],
-        b_eval=lambda x, t: gain,
+        f_eval=Expression("mu * (1.0 - x0 ** 2) * x1 - x0", {"mu": mu}),
+        b_eval=Expression("gain", {"gain": gain}),
         b_min=_gain_guard(gain),
         name="vanderpol",
         params={"mu": mu, "gain": gain},
@@ -204,6 +246,22 @@ def _check_sinusoid_angle(spec: DisturbanceSpec, t_end: float) -> None:
         raise ValueError(f"frequency_hz: 2*pi*frequency_hz*t + phase must stay finite up to t = {t_end:g}")
 
 
+# the most noise samples one run may read: their list alone takes 320 MB
+MAX_NOISE_SAMPLES = 10**7
+
+
+def _noise_sample_count(spec: DisturbanceSpec, t_end: float) -> int:
+    """floor(t_end/sample_dt + 1e-9) + 1, the grid samples a run on [0, t_end]
+    reads from a noise disturbance, 0 for the other kinds; ValueError, naming
+    sample_dt, past MAX_NOISE_SAMPLES, before anything is allocated."""
+    if spec.kind != "band-limited-noise":
+        return 0
+    ratio = t_end / spec.sample_dt + 1e-9
+    if not (ratio < MAX_NOISE_SAMPLES):
+        raise ValueError(f"sample_dt: a run to t = {t_end:g} would read over {MAX_NOISE_SAMPLES:g} noise samples")
+    return math.floor(ratio) + 1
+
+
 def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     """Filtered noise samples 0..count-1; regenerating a longer prefix from the
     same seed reproduces the shorter one exactly."""
@@ -225,34 +283,36 @@ def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     return out
 
 
-def disturbance_sampler(spec: DisturbanceSpec, t_end: float):
+def _sample_index(v: float) -> int:
+    """floor(v) as an index into a noise series: a read before the first
+    sample raises IndexError, never wraps around."""
+    i = math.floor(v)
+    if i < 0:
+        raise IndexError(f"noise read at index {i}, before the first sample")
+    return i
+
+
+def disturbance_sampler(spec: DisturbanceSpec, t_end: float) -> Expression:
     """d(t) for one run that reads the disturbance on [0, t_end].
 
     The kind is resolved here, once per run. Noise is generated for exactly
-    the grid samples up to t_end, as a list of Python floats; a read before 0
+    the grid samples up to t_end, as one list of Python floats; a read before 0
     or past t_end raises IndexError, never wraps or holds the last sample.
     """
     kind = spec.kind
     if kind == "none":
-        return lambda t: 0.0
+        return Expression("0.0", signature="t")
     if kind == "constant":
-        offset = spec.offset
-        return lambda t: offset
+        return Expression("d_offset", {"d_offset": spec.offset}, signature="t")
     if kind == "sinusoid":
         _check_sinusoid_angle(spec, t_end)
         # (2 pi f) t evaluates as the product 2.0 * pi * f * t does
-        amplitude, omega, phase = spec.amplitude, 2.0 * math.pi * spec.frequency_hz, spec.phase
-        return lambda t: amplitude * math.sin(omega * t + phase)
-    sample_dt = spec.sample_dt
-    series = _noise_series(spec, math.floor(t_end / sample_dt + 1e-9) + 1).tolist()
-
-    def noise(t):
-        i = math.floor(t / sample_dt + 1e-9)
-        if i < 0:
-            raise IndexError(f"noise read at t={t:g}, before its first sample")
-        return series[i]
-
-    return noise
+        omega = 2.0 * math.pi * spec.frequency_hz
+        params = {"d_amplitude": spec.amplitude, "d_omega": omega, "d_phase": spec.phase, "sin": math.sin}
+        return Expression("d_amplitude * sin(d_omega * t + d_phase)", params, signature="t")
+    series = _noise_series(spec, _noise_sample_count(spec, t_end)).tolist()
+    params = {"d_series": series, "d_sample_dt": spec.sample_dt, "d_index": _sample_index}
+    return Expression("d_series[d_index(t / d_sample_dt + 1e-9)]", params, signature="t")
 
 
 def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:

@@ -108,6 +108,10 @@ def _adapt_with_phi(net: RbfNetwork, w: np.ndarray, s: float, dt: float, phi: np
     return new_weights
 
 
+# the most neurons a network may have: a config allocates their arrays
+MAX_NEURONS = 100_000
+
+
 def default_network(
     neurons: int = 9, s_range: float = 1.0, eta: float = 5.0, kappa: float = 0.0, weight_cap: float | None = None
 ) -> RbfNetwork:
@@ -121,6 +125,8 @@ def default_network(
     """
     if neurons < 1:
         raise ValueError("neurons: must be >= 1")
+    if neurons > MAX_NEURONS:
+        raise ValueError(f"neurons: must be <= {MAX_NEURONS}")
     if not (s_range > 0.0):
         raise ValueError("s_range: must be > 0")
     if neurons == 1:

@@ -5,7 +5,10 @@ trajectory metrics.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +18,7 @@ from .controller import ControllerState, _control_law
 from .controller import control_step  # noqa: F401
 from .dynamics import GainVector, StateVector
 from .errors import ControllabilityFault, DivergenceFault
-from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
+from .plants import DisturbanceSpec, Expression, PlantModel, _function_code, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
 from .rbf import RbfNetwork, _check_leakage_step, activations
@@ -156,26 +159,6 @@ def _rk4(deriv, y: list, t: float, dt: float) -> list:
     return out
 
 
-def _rk4_order2(accel, y0: float, y1: float, t: float, dt: float) -> tuple[float, float]:
-    """_rk4 written out for the order-2 companion form, where deriv(y, t) is
-    [y[1], accel(y, t)]: the same operations in the same order, so the same
-    bits, without a list per stage. accel receives each stage as a tuple."""
-    half = 0.5 * dt
-    a1 = accel((y0, y1), t)
-    p1 = y1 + half * a1
-    a2 = accel((y0 + half * y1, p1), t + half)
-    q1 = y1 + half * a2
-    a3 = accel((y0 + half * p1, q1), t + half)
-    r1 = y1 + dt * a3
-    a4 = accel((y0 + dt * q1, r1), t + dt)
-    sixth = dt / 6.0
-    out0 = y0 + sixth * (y1 + 2.0 * p1 + 2.0 * q1 + r1)
-    out1 = y1 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    if not (math.isfinite(out0) and math.isfinite(out1)):
-        raise DivergenceFault(f"non-finite state produced at t={t:.6g}")
-    return out0, out1
-
-
 def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update of y over [t, t+dt]; deriv
     maps an array y and a time to an array dy/dt."""
@@ -228,62 +211,136 @@ class Metrics:
 
 def _plant_deriv(plant: PlantModel, u: float, d):
     """accel(y, tau): the highest derivative x^(n) = f + b*u + d(tau) of the
-    companion form with u held constant, for any indexable state y."""
+    companion form with u held constant, for any indexable state y. The
+    interval that calls it turns a domain error on a non-finite stage into a
+    divergence."""
     f_eval = plant.f_eval
     b_eval = plant.b_eval
     b_min = plant.b_min
 
     def accel(y, tau):
-        try:
-            b = b_eval(y, tau)
-            if abs(b) < b_min:
-                raise ControllabilityFault(
-                    f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
-                    state=np.array(y),
-                    t=tau,
-                )
-            return f_eval(y, tau) + b * u + d(tau)
-        except ValueError as exc:
-            # a stage state that overflowed to inf is a divergence, whatever
-            # the plant's math makes of it (math.sin(inf) raises ValueError)
-            if all(map(math.isfinite, y)):
-                raise
-            raise DivergenceFault(f"non-finite RK4 stage state at t={tau:.6g}") from exc
+        b = b_eval(y, tau)
+        if abs(b) < b_min:
+            raise ControllabilityFault(
+                f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
+                state=np.array(y),
+                t=tau,
+            )
+        return f_eval(y, tau) + b * u + d(tau)
 
     return accel
 
 
+# One RK4 interval on the order-n state in float locals: _rk4's operations in
+# _rk4's order on the companion form, whose stage derivative is [x1, ...,
+# x(n-1), a]. {accel} is a at the stage state x0, ... and time t. Compiling
+# takes memory in proportion to the statements, hence the tuple assignments.
+_INTERVAL = """\
+def interval(_y, _u, _t0, _dt, _substeps):
+    {ys}, = {xs}, = _y
+    t = _ts = _t0
+    _h = _dt / _substeps
+    _half, _sixth = 0.5 * _h, _h / 6.0
+    try:
+        {prologue}
+        for _j in range(_substeps):
+            t = _ts = _t0 + _j * _h
+            {xs}, = {ys},
+            _a1 = {accel}
+            {stage2}
+            _a2 = {accel}
+            {stage3}
+            _a3 = {accel}
+            {stage4}
+            _a4 = {accel}
+            {update}
+            if not ({finite}):
+                raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
+    except ValueError as _exc:
+        # a stage state that overflowed to inf is a divergence, whatever the
+        # plant's math makes of it (math.sin(inf) raises ValueError)
+        if all(map(_isfinite, ({xs},))):
+            raise
+        raise _DivergenceFault("non-finite RK4 stage state at t=%.6g" % t) from _exc
+    except OverflowError as _exc:
+        # Python floats raise where numpy scalars overflow to inf
+        raise _DivergenceFault("state overflowed in the RK4 step at t=%.6g" % _ts) from _exc
+    if {beyond}:
+        raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
+    return {ys},
+"""
+_TEMPLATE_GLOBALS = {"_isfinite": math.isfinite, "_LIMIT": DIVERGENCE_LIMIT, "_DivergenceFault": DivergenceFault}
+
+
+@functools.cache
+def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
+    """The compiled interval of an order-n plant: f, a constant b (b*u formed
+    once) and d inlined or, where f is None, _plant_deriv's accel called."""
+    xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
+    if f is None:
+        accel, prologue = f"_accel(({', '.join(xs)},), t)", "_accel = _simulation._plant_deriv(_truth, _u, _d)"
+    else:
+        accel, prologue = f"({f}) + _bu + ({d})", f"_bu = ({b}) * _u"
+
+    def state(c, prev, a):
+        # y + c * (the previous stage's derivative [prev1, ..., a])
+        return [f"_y{i} + {c} * {prev}{i + 1}" for i in range(n - 1)] + [f"_y{n - 1} + {c} * {a}"]
+
+    def assign(targets, values):
+        return f"{', '.join(targets)} = {', '.join(values)}"
+
+    update = [f"_y{i} + _sixth * (_y{i + 1} + 2.0 * _p{i + 1} + 2.0 * _q{i + 1} + x{i + 1})" for i in range(n - 1)]
+    source = _INTERVAL.format(
+        xs=", ".join(xs),
+        ys=", ".join(ys),
+        prologue=prologue,
+        accel=accel,
+        stage2=assign([*xs, "t"], [*state("_half", "_y", "_a1"), "_ts + _half"]),
+        stage3=assign([f"_p{i}" for i in range(1, n)] + xs, xs[1:] + state("_half", "x", "_a2")),
+        stage4=assign([f"_q{i}" for i in range(1, n)] + [*xs, "t"], xs[1:] + [*state("_h", "x", "_a3"), "_ts + _h"]),
+        update=assign(ys, update + [f"_y{n - 1} + _sixth * (_a1 + 2.0 * _a2 + 2.0 * _a3 + _a4)"]),
+        finite=" and ".join(f"_isfinite({y})" for y in ys),
+        beyond=" or ".join(f"abs({y}) > _LIMIT" for y in ys),
+    )
+    return _function_code(source)
+
+
+@functools.lru_cache(maxsize=1)
+def _bound_interval(truth: PlantModel, d):
+    """The generated interval of truth under d, their parameters bound as its
+    globals, for all intervals of a run. f and b are inlined when both are
+    Expressions, b a constant that passes the guard b_min, and no parameter
+    name is bound to two values or begins with "_", as the template's names
+    do; d is inlined when it is an Expression."""
+    bound = {**_TEMPLATE_GLOBALS, "_simulation": sys.modules[__name__], "_truth": truth, "_d": d}
+    f, b = truth.f_eval, truth.b_eval
+    if isinstance(f, Expression) and isinstance(b, Expression) and set(b.names) <= b.params.keys():
+        d_text, d_params = (d.text, d.params) if isinstance(d, Expression) else ("_d(t)", {})
+        params = {**f.params, **b.params, **d_params}
+        unique = all(params[k] is v for term in (f.params, b.params, d_params) for k, v in term.items())
+        if unique and not any(k.startswith("_") for k in params) and not abs(b(None, 0.0)) < truth.b_min:
+            return types.FunctionType(_interval_code(truth.order, f.text, b.text, d_text), {**bound, **params})
+    return types.FunctionType(_interval_code(truth.order, None, None, None), bound)
+
+
 def integrate_interval(
     truth: PlantModel,
-    y: np.ndarray,
+    y,
     u: float,
     t0: float,
     dt: float,
     substeps: int,
     d,
-) -> np.ndarray:
+) -> tuple:
     """Advance the truth plant over one control interval with u held constant;
     the disturbance d(t), such as the run's disturbance_sampler, is evaluated
-    at the true substep times."""
+    at the true substep times. y is the state as Python floats (an array is
+    converted); the new state is returned as a tuple of them."""
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
     # float(u): u computed from array elements is a numpy scalar, which would
     # carry numpy scalar arithmetic into every stage
-    accel = _plant_deriv(truth, float(u), d)
-    h = dt / substeps
-    y = y.tolist()
-    try:
-        if len(y) == 2:
-            for j in range(substeps):
-                y = _rk4_order2(accel, *y, t0 + j * h, h)
-        else:
-            deriv = lambda v, tau: v[1:] + [accel(v, tau)]
-            for j in range(substeps):
-                y = _rk4(deriv, y, t0 + j * h, h)
-    except OverflowError as exc:
-        # Python floats raise where numpy scalars overflow to inf
-        raise DivergenceFault(f"state overflowed in the RK4 step at t={t0 + j * h:.6g}") from exc
-    if max(map(abs, y)) > DIVERGENCE_LIMIT:
-        raise DivergenceFault(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t0 + dt:.6g}")
-    return np.array(y)
+    return _bound_interval(truth, d)(y, float(u), t0, dt, substeps)
 
 
 def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
@@ -361,7 +418,7 @@ def run_closed_loop(
 
     n = truth.order
     count = steps + 1
-    y = _reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)
+    y = (_reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)).tolist()
 
     t_arr = np.empty(count)
     x_arr = np.empty((count, n))
@@ -378,8 +435,9 @@ def run_closed_loop(
 
     d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
 
-    # From here on y and x_d are raw arrays: y is finite (x0 was checked and
-    # _rk4 rejects non-finite states) and reference values are finite by
+    # From here on y is the state as floats, read by the control law as its
+    # row of x_arr, and x_d a raw array: y is finite (x0 was checked and the
+    # interval rejects non-finite states) and reference values are finite by
     # construction of the ReferenceSpec. The loop carries the weights itself.
     w = None if ctrl.network is None else ctrl.network.weights
     terminal = None
@@ -390,6 +448,7 @@ def run_closed_loop(
 
         t_arr[k] = t_k
         x_arr[k] = y
+        x = x_arr[k]
         xd_arr[k] = x_d
         dtrue_arr[k] = d(t_k)
         if w_hist is not None:
@@ -397,7 +456,7 @@ def run_closed_loop(
 
         try:
             u, s_arr[k], dhat_arr[k], wnorm_arr[k], w, events[k] = _control_law(
-                ctrl, nominal, y, x_d, xd_n, t_k, dt_ctrl, w
+                ctrl, nominal, x, x_d, xd_n, t_k, dt_ctrl, w
             )
         except (ControllabilityFault, DivergenceFault) as exc:
             u_arr[k] = np.nan

@@ -114,6 +114,14 @@ VALUE_RULES = [
             "simulation": {"T": 10.0, "dt_ctrl": 0.01},
         },
     ),
+    # numpy's linspace failed with "Maximum allowed size exceeded", naming no key
+    ("controller.network.neurons", "rbf.default_network", {"controller": {"network": {"neurons": 10**400}}}),
+    # 1e300 noise samples: numpy failed with "Maximum allowed dimension exceeded"
+    (
+        "disturbance.sample_dt",
+        "plants._noise_sample_count",
+        {"disturbance": {**NOISE, "sample_dt": 1e-300}, "simulation": {"T": 1.0, "dt_ctrl": 0.01}},
+    ),
 ]
 
 # Where each ExperimentConfig field sits in the JSON.
@@ -917,6 +925,14 @@ class TestCmdSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert "disturbance.frequency_hz: " in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_noise_beyond_the_sample_limit_exits_2(self, tmp_path, capsys):
+        disturbance = {**NOISE, "sample_dt": 1e-300}
+        path = write_config(tmp_path, minimal_config(disturbance=disturbance, simulation={"T": 1.0, "dt_ctrl": 0.01}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "disturbance.sample_dt: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):

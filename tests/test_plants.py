@@ -7,7 +7,10 @@ from neurofl.dynamics import StateVector
 from neurofl import plants
 from neurofl.errors import ControllabilityFault
 from neurofl.plants import (
+    MAX_NOISE_SAMPLES,
     DisturbanceSpec,
+    Expression,
+    _noise_sample_count,
     _noise_series,
     PlantModel,
     constant_disturbance,
@@ -141,6 +144,68 @@ class TestVanderpolPlant:
             vanderpol_plant(gain=0.0)
 
 
+def closure_terms(kind, params):
+    """Independent copies of the f and b closures the plant builders returned
+    before their terms were Expressions."""
+    if kind == "pendulum":
+        m, l, c, g = params["m"], params["l"], params["c"], params["g"]
+        b = 1.0 / (m * l * l)
+        return (lambda x, t: -(g / l) * math.sin(x[0]) - c * x[1]), (lambda x, t: b)
+    if kind == "duffing":
+        a, b1, b2, gain = params["a"], params["b1"], params["b2"], params["gain"]
+        return (lambda x, t: -a * x[1] - b1 * x[0] - b2 * x[0] ** 3), (lambda x, t: gain)
+    mu, gain = params["mu"], params["gain"]
+    return (lambda x, t: mu * (1.0 - x[0] ** 2) * x[1] - x[0]), (lambda x, t: gain)
+
+
+def evaluation(fn, x):
+    """The bits fn(x, 0.3) returns, or the error it raises."""
+    try:
+        return ("ok", np.float64(fn(x, 0.3)).view(np.int64).item())
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestPlantsAsData:
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("pendulum", lambda: pendulum_plant(m=1.3, l=0.7, c=0.2, g=9.81)),
+            ("duffing", lambda: duffing_plant(a=0.3, b1=-1.1, b2=2.5, gain=-0.8)),
+            ("vanderpol", lambda: vanderpol_plant(mu=1.7, gain=0.6)),
+        ],
+    )
+    def test_expression_matches_the_closure_bitwise(self, kind, build):
+        # signed magnitudes from 1e-300 to 1e200 with +-0.0, and values near
+        # where x**2 and x**3 leave the float range, as the interval passes
+        # them (a tuple of Python floats) and as the control law does (an array)
+        plant = build()
+        f_closure, b_closure = closure_terms(kind, plant.params)
+        rng = np.random.default_rng(26)
+        count = 4000
+        x = 10.0 ** rng.uniform(-300, 200, (count, 2)) * rng.choice([-1.0, 1.0], (count, 2))
+        x[rng.random((count, 2)) < 0.1] = 0.0
+        x[rng.random((count, 2)) < 0.1] = -0.0
+        edge = rng.random(count) < 0.2
+        x[edge, 0] = rng.choice([1.0, -1.0], edge.sum()) * 10.0 ** rng.uniform(101.5, 103.0, edge.sum())
+        edge = rng.random(count) < 0.1
+        x[edge, 0] = rng.choice([1.0, -1.0], edge.sum()) * 10.0 ** rng.uniform(153.5, 155.0, edge.sum())
+        kinds = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in x:
+                for state in (tuple(row.tolist()), row):
+                    got = evaluation(plant.f_eval, state)
+                    assert got == evaluation(f_closure, state), state
+                    assert evaluation(plant.b_eval, state) == evaluation(b_closure, state)
+                    kinds.add(got[0])
+        assert "ok" in kinds and (kind == "pendulum" or OverflowError in kinds)
+
+    def test_expression_reads_only_the_state_it_names(self):
+        e = Expression("k * x2 - sin(t)", {"k": 2.0, "sin": math.sin})
+        assert set(e.names) == {"k", "x2", "sin", "t"}
+        assert e((None, None, 1.5), 0.0) == 3.0
+
+
 class TestDisturbances:
     def test_none_is_zero(self):
         spec = no_disturbance()
@@ -265,6 +330,19 @@ class TestDisturbances:
             d(0.102)
         disturbance_sampler(noise_disturbance(1.0, cutoff_hz=4.0, sample_dt=1e-3), 0.08)
         assert lengths[-1] == 81
+
+    def test_noise_beyond_the_sample_limit_is_rejected_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(plants, "_noise_series", lambda spec, count: pytest.fail("allocated"))
+        spec = noise_disturbance(0.1, cutoff_hz=5.0, sample_dt=1e-300)
+        for t_end in (1.0, 1e300):
+            with pytest.raises(ValueError, match=r"^sample_dt: a run to t = "):
+                disturbance_sampler(spec, t_end)
+        # floor(t_end/sample_dt + 1e-9) + 1 samples, up to the limit itself
+        spec = noise_disturbance(0.1, cutoff_hz=5.0, sample_dt=1.0)
+        assert _noise_sample_count(spec, MAX_NOISE_SAMPLES - 1.0) == MAX_NOISE_SAMPLES
+        with pytest.raises(ValueError, match=r"^sample_dt: "):
+            _noise_sample_count(spec, float(MAX_NOISE_SAMPLES))
+        assert _noise_sample_count(constant_disturbance(0.1), 1e300) == 0
 
     def test_run_sampler_rejects_reads_before_zero(self):
         d = disturbance_sampler(noise_disturbance(1.0, cutoff_hz=4.0, seed=1), 1.0)

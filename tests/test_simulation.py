@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -10,7 +12,9 @@ from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
+    Expression,
     PlantModel,
+    constant_disturbance,
     disturbance_sampler,
     duffing_plant,
     no_disturbance,
@@ -21,11 +25,11 @@ from neurofl.plants import (
 )
 from neurofl.rbf import RbfNetwork, activations, default_network
 from neurofl.simulation import (
+    DIVERGENCE_LIMIT,
     ReferenceSpec,
     Trajectory,
     _plant_deriv,
     _rk4,
-    _rk4_order2,
     compute_metrics,
     constant_reference,
     ideal_disturbance_plant,
@@ -108,19 +112,57 @@ def kernel_outcome(step):
         return ("ok", np.array(step(), dtype=float).view(np.int64).tolist())
     except ControllabilityFault as exc:
         return (type(exc), str(exc), np.asarray(exc.state, dtype=float).view(np.int64).tolist(), exc.t)
-    except (ArithmeticError, ValueError, DivergenceFault) as exc:
+    except (ArithmeticError, LookupError, ValueError, DivergenceFault) as exc:
         return (type(exc), str(exc))
 
 
-def generic_step(accel, y0, y1, t, dt):
-    """_rk4 on the companion form [y1, accel(y)], as integrate_interval runs
-    every order but 2."""
-    return _rk4(lambda v, tau: v[1:] + [accel(v, tau)], [y0, y1], t, dt)
+def generic_interval(plant, y, u, t0, dt, substeps, d):
+    """The interval as the list kernel _rk4 runs it on the companion form
+    [x1, ..., x(n-1), accel(x, t)], with the domain-error, overflow and
+    divergence-limit rules of an interval: the reference the generated
+    interval must match."""
+    accel = _plant_deriv(plant, u, d)
+
+    def deriv(v, tau):
+        try:
+            return v[1:] + [accel(v, tau)]
+        except ValueError as exc:
+            # a stage state that overflowed to inf is a divergence, whatever
+            # the plant's math makes of it
+            if all(map(math.isfinite, v)):
+                raise
+            raise DivergenceFault(f"non-finite RK4 stage state at t={tau:.6g}") from exc
+
+    h = dt / substeps
+    y = list(y)
+    j = 0
+    try:
+        for j in range(substeps):
+            y = _rk4(deriv, y, t0 + j * h, h)
+    except OverflowError as exc:
+        raise DivergenceFault(f"state overflowed in the RK4 step at t={t0 + j * h:.6g}") from exc
+    if max(map(abs, y)) > DIVERGENCE_LIMIT:
+        raise DivergenceFault(f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={t0 + dt:.6g}")
+    return y
 
 
-def both_kernels(accel, y0, y1, t, dt):
-    """(written-out order-2 step, generic step): each one's kernel_outcome."""
-    return tuple(kernel_outcome(lambda: step(accel, y0, y1, t, dt)) for step in (_rk4_order2, generic_step))
+def called(plant):
+    """plant with f_eval and b_eval wrapped in plain functions, as the traced
+    benchmark child wraps them: the interval calls them instead of inlining."""
+    f, b = plant.f_eval, plant.b_eval
+    return dataclasses.replace(plant, f_eval=lambda x, t: f(x, t), b_eval=lambda x, t: b(x, t))
+
+
+def every_fill(plant, y, u, t, dt, d, substeps=1):
+    """kernel_outcome of the generated interval with the plant's terms as
+    given (inlined for Expressions), of the same interval calling them, and of
+    the generic list kernel."""
+    runs = (
+        lambda: integrate_interval(plant, y, u, t, dt, substeps, d),
+        lambda: integrate_interval(called(plant), y, u, t, dt, substeps, d),
+        lambda: generic_interval(plant, y, u, t, dt, substeps, d),
+    )
+    return tuple(kernel_outcome(run) for run in runs)
 
 
 def signed_draws(rng, count, lo, hi):
@@ -131,7 +173,16 @@ def signed_draws(rng, count, lo, hi):
     return out
 
 
+def expression_plant(order, f, b=1.0, b_min=0.5, **params):
+    return PlantModel(
+        order=order, f_eval=Expression(f, params), b_eval=Expression("k", {"k": b}), b_min=b_min, name="expr"
+    )
+
+
 class TestOrder2Kernel:
+    """The generated interval against the generic list kernel _rk4, with the
+    plant's terms inlined and called."""
+
     @pytest.mark.parametrize(
         "plant",
         [pendulum_plant(c=0.1), duffing_plant(), vanderpol_plant(mu=1.5), time_varying_b_plant()],
@@ -140,7 +191,8 @@ class TestOrder2Kernel:
     def test_bitwise_equal_to_generic_rk4(self, plant):
         # random draws, including +-0.0, states near the 1e9 divergence limit
         # and inputs near the float range, which give non-finite stages and
-        # the overflow and domain errors of the plants' own arithmetic
+        # the overflow and domain errors of the plants' own arithmetic; d is
+        # inlined (an Expression) on even draws and called on odd ones
         rng = np.random.default_rng(18)
         count = 2500
         y0 = signed_draws(rng, count, -6, 9)
@@ -152,36 +204,37 @@ class TestOrder2Kernel:
         u[huge] = rng.choice([-1.0, 1.0], huge.sum()) * 10.0 ** rng.uniform(300, 308, huge.sum())
         t = rng.uniform(0.0, 100.0, count)
         dt = 10.0 ** rng.uniform(-5, -1, count)
+        inlined_d = disturbance_sampler(sinusoid_disturbance(0.3, 7.0 / (2.0 * math.pi)), 200.0)
+        called_d = lambda tau: 0.3 * math.sin(7.0 * tau)  # noqa: E731
         kinds = set()
-        for args in zip(y0.tolist(), y1.tolist(), t.tolist(), dt.tolist(), u.tolist()):
-            accel = _plant_deriv(plant, args[4], lambda tau: 0.3 * math.sin(7.0 * tau))
-            written_out, generic = both_kernels(accel, *args[:4])
-            assert written_out == generic, args
-            kinds.add(written_out[0])
+        for i, (a, b, tk, h, uk) in enumerate(zip(y0.tolist(), y1.tolist(), t.tolist(), dt.tolist(), u.tolist())):
+            inlined, calling, generic = every_fill(plant, (a, b), uk, tk, h, called_d if i % 2 else inlined_d)
+            assert inlined == calling == generic, (a, b, tk, h, uk)
+            kinds.add(inlined[0])
         # every plant reaches both a finite step and at least one fault
         assert "ok" in kinds and len(kinds) >= 2
 
     def test_non_finite_stage_is_the_same_divergence(self):
-        plant = PlantModel(
-            order=2, f_eval=lambda x, t: 1e300 * x[1], b_eval=lambda x, t: 1.0, b_min=0.5, name="stiff"
-        )
-        written_out, generic = both_kernels(_plant_deriv(plant, 0.0, lambda tau: 0.0), 0.0, 1e10, 0.25, 0.1)
-        assert written_out == generic == (DivergenceFault, "non-finite state produced at t=0.25")
+        plant = expression_plant(2, "1e300 * x1")
+        outcomes = every_fill(plant, (0.0, 1e10), 0.0, 0.25, 0.1, lambda tau: 0.0)
+        assert set(outcomes) == {(DivergenceFault, "non-finite state produced at t=0.25")}
 
     def test_domain_error_on_an_overflowed_stage_is_divergence(self):
         # the second stage y0 + (dt/2)*y1 overflows to inf, and the
         # pendulum's math.sin(inf) raises ValueError: math domain error
-        accel = _plant_deriv(pendulum_plant(), 0.0, lambda tau: 0.0)
-        written_out, generic = both_kernels(accel, 1.0, 1e300, 0.0, 1e10)
-        assert written_out == generic == (DivergenceFault, "non-finite RK4 stage state at t=5e+09")
+        outcomes = every_fill(pendulum_plant(), (1.0, 1e300), 0.0, 0.0, 1e10, lambda tau: 0.0)
+        assert set(outcomes) == {(DivergenceFault, "non-finite RK4 stage state at t=5e+09")}
 
     def test_value_error_on_a_finite_stage_propagates(self):
         def f_eval(x, t):
             raise ValueError(f"plant fault at x0={x[0]:g}")
 
         plant = PlantModel(order=2, f_eval=f_eval, b_eval=lambda x, t: 1.0, b_min=0.5, name="faulty")
-        written_out, generic = both_kernels(_plant_deriv(plant, 0.0, lambda tau: 0.0), 1.0, 1e300, 0.0, 1e10)
-        assert written_out == generic == (ValueError, "plant fault at x0=1")
+        outcomes = every_fill(plant, (1.0, 1e300), 0.0, 0.0, 1e10, lambda tau: 0.0)
+        assert set(outcomes) == {(ValueError, "plant fault at x0=1")}
+        plant = expression_plant(2, "log(x0 - 2.0)", log=math.log)
+        outcomes = every_fill(plant, (1.0, 1e300), 0.0, 0.0, 1e10, lambda tau: 0.0)
+        assert set(outcomes) == {(ValueError, "math domain error")}
 
     @pytest.mark.parametrize("trip_call", [2, 3])
     def test_controllability_fault_at_a_middle_stage(self, trip_call):
@@ -197,15 +250,151 @@ class TestOrder2Kernel:
             plant = PlantModel(
                 order=2, f_eval=lambda x, t: -x[0] - 0.3 * x[1], b_eval=b_eval, b_min=0.5, name="tripping"
             )
-            accel = _plant_deriv(plant, 0.7, lambda tau: 0.2 * tau)
-            return kernel_outcome(lambda: step(accel, 0.4, -1.1, 2.0, 0.1))
+            return kernel_outcome(lambda: step(plant, (0.4, -1.1), 0.7, 2.0, 0.1, 1, lambda tau: 0.2 * tau))
 
-        written_out, generic = run(_rk4_order2), run(generic_step)
-        assert written_out == generic
-        assert written_out[0] is ControllabilityFault
-        assert written_out[3] == 2.0 + 0.5 * 0.1
+        generated, generic = run(integrate_interval), run(generic_interval)
+        assert generated == generic
+        assert generated[0] is ControllabilityFault
+        assert generated[3] == 2.0 + 0.5 * 0.1
         # the stage's state, not the state the interval started from
-        assert np.array(written_out[2], dtype=np.int64).view(float)[0] != 0.4
+        assert np.array(generated[2], dtype=np.int64).view(float)[0] != 0.4
+
+
+# Each raise site of the interval: the plant's f with its parameters, its
+# constant b and b_min, the initial state (its last entry repeated up to
+# the order), t0, dt, whether d is noise, and the fault raised.
+FAULTS = {
+    "controllability": (
+        "-x0", {}, 0.1, 0.5, [0.3, -0.2], 1.5, 0.1, False,
+        (ControllabilityFault, "|b|=0.1 below guard 0.5 during integration"),
+    ),
+    "non-finite-stage": (
+        "sin(x0) + k", {"k": 1e300, "sin": math.sin}, 1.0, 0.5, [1.0, 1e300], 0.0, 1e10, False,
+        (DivergenceFault, "non-finite RK4 stage state at t=2.5e+09"),
+    ),
+    "finite-stage-value-error": (
+        "log(x0 - 2.0)", {"log": math.log}, 1.0, 0.5, [1.0], 0.0, 0.1, False, (ValueError, "math domain error"),
+    ),
+    "overflow": (
+        "x0 ** 3", {}, 1.0, 0.5, [1e200, 0.0], 0.0, 0.1, False,
+        (DivergenceFault, "state overflowed in the RK4 step at t=0"),
+    ),
+    "non-finite-output": (
+        "k * x0", {"k": 1e300}, 1.0, 0.5, [1e10], 0.0, 0.1, False,
+        (DivergenceFault, "non-finite state produced at t=0"),
+    ),
+    "divergence-limit": (
+        "k", {"k": 1e9}, 1.0, 0.5, [0.99e9, 1e9], 0.0, 0.1, False,
+        (DivergenceFault, "state magnitude exceeded 1e+09 at t=0.1"),
+    ),
+    "noise-before-zero": (
+        "-x0", {}, 1.0, 0.5, [0.1], -0.5, 0.1, True, (IndexError, "noise read at index -500, before the first sample"),
+    ),
+}
+
+
+class TestGeneratedInterval:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_every_raise_site_on_both_fills(self, fault, order):
+        f, params, b, b_min, y, t0, dt, noise, expected = FAULTS[fault]
+        plant = expression_plant(order, f, b=b, b_min=b_min, **params)
+        y = (y + [y[-1]] * order)[:order]
+        spec = noise_disturbance(0.1, 4.0, sample_dt=1e-3) if noise else constant_disturbance(0.2)
+        inlined, calling, generic = every_fill(plant, y, 0.4, t0, dt, disturbance_sampler(spec, 1.0), substeps=2)
+        assert inlined == calling == generic
+        assert inlined[:2] == expected
+        if fault == "controllability":
+            # a constant b below its guard trips at the first stage
+            assert inlined[2] == np.array(y).view(np.int64).tolist() and inlined[3] == t0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_finite_intervals_match_on_both_fills(self, order):
+        f = {1: "-0.5 * x0 + sin(t)", 2: "-x0 - 0.3 * x1 ** 3", 3: "-x0 - 2.0 * x1 - cos(x2)"}[order]
+        plant = expression_plant(order, f, b=1.3, sin=math.sin, cos=math.cos)
+        rng = np.random.default_rng(order)
+        for kind in ("none", "constant", "sinusoid", "noise"):
+            spec = {
+                "none": no_disturbance(),
+                "constant": constant_disturbance(-0.4),
+                "sinusoid": sinusoid_disturbance(0.3, 2.0, phase=0.5),
+                "noise": noise_disturbance(0.5, 5.0, seed=3, sample_dt=1e-3),
+            }[kind]
+            d = disturbance_sampler(spec, 2.0)
+            for _ in range(50):
+                y = tuple(rng.uniform(-2.0, 2.0, order).tolist())
+                inlined, calling, generic = every_fill(plant, y, rng.uniform(-3.0, 3.0), 0.5, 0.01, d, substeps=3)
+                assert inlined == calling == generic and inlined[0] == "ok"
+
+    def test_a_parameter_named_like_the_template_is_called_not_inlined(self):
+        # template names begin with "_": such a parameter would be shadowed
+        shadowed = expression_plant(2, "-_h * x0 - x1", _h=3.0)
+        plain = expression_plant(2, "-h * x0 - x1", h=3.0)
+        d = disturbance_sampler(constant_disturbance(0.2), 1.0)
+        assert simulation._bound_interval(shadowed, d).__code__ is simulation._interval_code(2, None, None, None)
+        assert simulation._bound_interval(plain, d).__code__ is not simulation._interval_code(2, None, None, None)
+        assert every_fill(shadowed, (0.3, -0.1), 0.5, 0.0, 0.01, d) == every_fill(plain, (0.3, -0.1), 0.5, 0.0, 0.01, d)
+
+    def test_compiles_each_source_once(self):
+        simulation._interval_code.cache_clear()
+        for plant in (pendulum_plant(), pendulum_plant(c=0.3), called(pendulum_plant()), called(duffing_plant())):
+            for spec in (no_disturbance(), constant_disturbance(0.1), constant_disturbance(0.2)):
+                integrate_interval(plant, (0.1, 0.0), 0.5, 0.0, 0.01, 2, disturbance_sampler(spec, 1.0))
+        # pendulum inlined with d 0.0 or an offset, and one calling source
+        assert simulation._interval_code.cache_info().misses == 3
+
+
+def trajectory_bytes(traj):
+    return b"".join(
+        getattr(traj, name).tobytes() for name in ("t", "x", "x_d", "u", "s", "d_hat", "d_true", "w_norm")
+    ) + "\n".join(traj.event).encode()
+
+
+def traced(fn):
+    """A pass-through wrapper, as the benchmark's tracer builds one."""
+
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+DISTURBANCES = {
+    "none": no_disturbance(),
+    "constant": constant_disturbance(0.3),
+    "sinusoid": sinusoid_disturbance(0.4, 1.5, phase=0.2),
+    "noise": noise_disturbance(0.5, 4.0, seed=11),
+}
+
+
+class TestPlantsAsDataInRuns:
+    @pytest.mark.parametrize("dist", list(DISTURBANCES))
+    @pytest.mark.parametrize("name", ["pendulum", "duffing", "vanderpol"])
+    def test_pickled_and_traced_plants_run_the_same_bits(self, name, dist):
+        # pickle round-trips each config plant; wrapping f_eval and b_eval as
+        # bench/child.py does makes the interval call them instead of
+        # inlining them; every trajectory is the same bytes
+        setup = build_experiment(
+            config_from_dict(
+                {
+                    "plant": {"name": name},
+                    "controller": {"mode": "compensated", "lambda": 3.0},
+                    "reference": {"kind": "sinusoid", "amplitude": 0.6, "omega": 2.0},
+                    "simulation": {"T": 0.3, "dt_ctrl": 1e-3, "substeps": 3, "x0": [0.2, -0.1]},
+                }
+            )
+        )
+        plant = setup.truth
+        wrapped = dataclasses.replace(plant, f_eval=traced(plant.f_eval), b_eval=traced(plant.b_eval))
+        runs = []
+        for truth in (plant, pickle.loads(pickle.dumps(plant)), wrapped):
+            runs.append(
+                run_closed_loop(
+                    truth, truth, setup.ctrl, setup.ref, DISTURBANCES[dist], 3.0, 0.3, 1e-3, 3, x0=setup.x0
+                )
+            )
+        assert runs[0].terminal_event is None and len(runs[0]) == 301
+        assert trajectory_bytes(runs[0]) == trajectory_bytes(runs[1]) == trajectory_bytes(runs[2])
 
 
 class TestReferenceAt:
