@@ -3,13 +3,17 @@ bounded disturbance generators.
 
 Plant evaluators accept anything indexable as the state (StateVector, a raw
 array, or the tuple of an RK4 stage); the config plants' are Expressions,
-data that the RK4 interval inlines.
+data that a run's generated loop inlines.
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
+import itertools
+import linecache
 import math
+import sys
 import types
 from dataclasses import dataclass, field
 
@@ -31,9 +35,19 @@ __all__ = [
 ]
 
 
-def _function_code(source: str):
-    """The code of the one function that source defines."""
-    return next(c for c in compile(source, "<generated>", "exec").co_consts if isinstance(c, types.CodeType))
+# numbers the generated sources registered with linecache
+_SOURCES = itertools.count()
+
+
+def _function_code(source: str, name: str | None = None):
+    """The code of the one function that source defines. Given a name, the
+    source is registered with linecache as "<neurofl name #serial>", so that
+    tracebacks and profiles through the code show its lines."""
+    filename = "<generated>" if name is None else f"<neurofl {name} #{next(_SOURCES)}>"
+    if name is not None:
+        # generated sources share most of their lines
+        linecache.cache[filename] = (len(source), None, [sys.intern(line) for line in source.splitlines(True)], filename)
+    return next(c for c in compile(source, filename, "exec").co_consts if isinstance(c, types.CodeType))
 
 
 @functools.cache
@@ -48,8 +62,8 @@ class Expression(functools.partial):
     """A plant term f(x, t) or b(x, t), or a disturbance d(t) (signature
     "t"), as data: one Python expression over the state x0, x1, ..., the time
     t and the values in params (functions such as math.sin included),
-    compiled once per text. The RK4 interval inlines the text with the same
-    values bound, so both give the same bits. A partial of the compiled
+    compiled once per text. A run's generated loop inlines the text with the
+    same values bound, so both give the same bits. A partial of the compiled
     function, whose globals are the parameters, so that a call costs what a
     closure's does."""
 
@@ -68,6 +82,42 @@ class Expression(functools.partial):
 
     def __reduce__(self):
         return (Expression, (self.text, self.params, self.signature))
+
+
+_BUILTINS = vars(builtins)
+
+
+def _inline(params: dict, local, *terms) -> bool:
+    """Whether generated code may inline the terms' texts with their
+    parameters as its globals: each term is an Expression that reads only its
+    parameters, the names in local and builtins, and no parameter is named
+    like a builtin, begins with "_", as generated code's own names do, or is
+    bound in params, or in another term, to another object. If so, the
+    parameters are added to params."""
+    merged = dict(params)
+    for term in terms:
+        if not isinstance(term, Expression):
+            return False
+        own = term.params
+        for name in term.names:
+            if name not in own and name not in local and name not in _BUILTINS:
+                return False
+        for name, value in own.items():
+            if name.startswith("_") or name in _BUILTINS or merged.setdefault(name, value) is not value:
+                return False
+    params.update(merged)
+    return True
+
+
+def _inline_plant(plant, params: dict) -> tuple:
+    """(f text, b text) of a plant that generated code may inline (see
+    _inline), with b a constant that passes the guard b_min; (None, None),
+    and params unchanged, when its terms must be called."""
+    f, b = plant.f_eval, plant.b_eval
+    constant = isinstance(b, Expression) and set(b.names) <= b.params.keys() and not abs(b(None, 0.0)) < plant.b_min
+    if constant and _inline(params, {"t", *(f"x{i}" for i in range(plant.order))}, f, b):
+        return f.text, b.text
+    return None, None
 
 
 @dataclass(frozen=True, eq=False)

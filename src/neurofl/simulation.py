@@ -8,17 +8,18 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import textwrap
 import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerState, _control_law
+from .controller import ControllerState, _bind_law, _law_block
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .controller import control_step  # noqa: F401
 from .dynamics import GainVector, StateVector
 from .errors import ControllabilityFault, DivergenceFault
-from .plants import DisturbanceSpec, Expression, PlantModel, _function_code, disturbance_sampler
+from .plants import DisturbanceSpec, PlantModel, _function_code, _inline, _inline_plant, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
 from .rbf import RbfNetwork, _check_leakage_step, activations
@@ -231,56 +232,58 @@ def _plant_deriv(plant: PlantModel, u: float, d):
     return accel
 
 
-# One RK4 interval on the order-n state in float locals: _rk4's operations in
-# _rk4's order on the companion form, whose stage derivative is [x1, ...,
-# x(n-1), a]. {accel} is a at the stage state x0, ... and time t. Compiling
+# One RK4 interval of the truth plant with _u held, on float locals: _rk4's
+# operations in _rk4's order on the companion form, whose stage derivative is
+# [x1, ..., x(n-1), a]. {accel} is a at the stage state x0, ... and time t.
+# It advances _y0, ... from _t0 by _dt in _substeps steps of _h. Compiling
 # takes memory in proportion to the statements, hence the tuple assignments.
 _INTERVAL = """\
-def interval(_y, _u, _t0, _dt, _substeps):
-    {ys}, = {xs}, = _y
-    t = _ts = _t0
-    _h = _dt / _substeps
-    _half, _sixth = 0.5 * _h, _h / 6.0
-    try:
-        {prologue}
-        for _j in range(_substeps):
-            t = _ts = _t0 + _j * _h
-            {xs}, = {ys},
-            _a1 = {accel}
-            {stage2}
-            _a2 = {accel}
-            {stage3}
-            _a3 = {accel}
-            {stage4}
-            _a4 = {accel}
-            {update}
-            if not ({finite}):
-                raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
-    except ValueError as _exc:
-        # a stage state that overflowed to inf is a divergence, whatever the
-        # plant's math makes of it (math.sin(inf) raises ValueError)
-        if all(map(_isfinite, ({xs},))):
-            raise
-        raise _DivergenceFault("non-finite RK4 stage state at t=%.6g" % t) from _exc
-    except OverflowError as _exc:
-        # Python floats raise where numpy scalars overflow to inf
-        raise _DivergenceFault("state overflowed in the RK4 step at t=%.6g" % _ts) from _exc
-    if {beyond}:
-        raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
-    return {ys},
+try:
+    {prologue}
+    for _j in range(_substeps):
+        t = _ts = _t0 + _j * _h
+        {xs}, = {ys},
+        _a1 = {accel}
+        {stage2}
+        _a2 = {accel}
+        {stage3}
+        _a3 = {accel}
+        {stage4}
+        _a4 = {accel}
+        {update}
+        if not ({finite}):
+            raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
+except (ValueError, OverflowError) as _exc:
+    _stage_fault(_exc, ({xs},), t, _ts)
+if {beyond}:
+    raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
 """
-_TEMPLATE_GLOBALS = {"_isfinite": math.isfinite, "_LIMIT": DIVERGENCE_LIMIT, "_DivergenceFault": DivergenceFault}
 
 
-@functools.cache
-def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
-    """The compiled interval of an order-n plant: f, a constant b (b*u formed
-    once) and d inlined or, where f is None, _plant_deriv's accel called."""
+def _stage_fault(exc: Exception, stage: tuple, t: float, ts: float):
+    """Raise what an error in an RK4 interval's arithmetic means: at the
+    stage state and time t of the substep from ts, an overflow or a
+    ValueError on a non-finite stage state is a divergence, and a ValueError
+    on a finite one propagates."""
+    if isinstance(exc, OverflowError):
+        # Python floats raise where numpy scalars overflow to inf
+        raise DivergenceFault(f"state overflowed in the RK4 step at t={ts:.6g}") from exc
+    if all(map(math.isfinite, stage)):
+        raise exc
+    # whatever the plant's math makes of a stage state that overflowed to
+    # inf (math.sin(inf) raises ValueError)
+    raise DivergenceFault(f"non-finite RK4 stage state at t={t:.6g}") from exc
+
+
+def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
+    """The interval of an order-n plant: f, a constant b (b*u formed once)
+    and d (called where None) inlined or, where f is None, _plant_deriv's
+    accel called."""
     xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
     if f is None:
         accel, prologue = f"_accel(({', '.join(xs)},), t)", "_accel = _simulation._plant_deriv(_truth, _u, _d)"
     else:
-        accel, prologue = f"({f}) + _bu + ({d})", f"_bu = ({b}) * _u"
+        accel, prologue = f"({f}) + _bu + ({'_d(t)' if d is None else d})", f"_bu = ({b}) * _u"
 
     def state(c, prev, a):
         # y + c * (the previous stage's derivative [prev1, ..., a])
@@ -290,7 +293,7 @@ def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
         return f"{', '.join(targets)} = {', '.join(values)}"
 
     update = [f"_y{i} + _sixth * (_y{i + 1} + 2.0 * _p{i + 1} + 2.0 * _q{i + 1} + x{i + 1})" for i in range(n - 1)]
-    source = _INTERVAL.format(
+    return _INTERVAL.format(
         xs=", ".join(xs),
         ys=", ".join(ys),
         prologue=prologue,
@@ -302,25 +305,151 @@ def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
         finite=" and ".join(f"_isfinite({y})" for y in ys),
         beyond=" or ".join(f"abs({y}) > _LIMIT" for y in ys),
     )
-    return _function_code(source)
 
 
-@functools.lru_cache(maxsize=1)
+# One run: for each sample k, the reference derivatives _xd0, ..., _xd{n}
+# at t = k*dt as _reference_values sums them, the records of t, the state,
+# the reference and d(t), the control law, and the interval to the next
+# sample. Returns the samples recorded and the terminal event.
+_LOOP = """\
+def loop(_y, _steps, _dt, _substeps, _w, _records):
+    _tr, _xr, _xdr, _dtr, _ur, _sr, _dhr, _wnr, _events, _wh = _records
+    {ys}, = _y
+    _h = _dt / _substeps
+    _half, _sixth = 0.5 * _h, _h / 6.0
+    for _k in range(_steps + 1):
+        t = _t0 = _k * _dt
+        {reference}
+        _i = _k * {n}
+        _tr[_k], {xr}, {xdr}, _dtr[_k] = t, {ys}, {xds}, {d}
+        if _wh is not None:
+            _wh[_k] = _w
+        {xs}, = {ys},
+        try:
+{law}
+        except _FAULTS as _exc:
+            return _fault(_exc, _records, _k, True)
+        _ur[_k], _sr[_k], _dhr[_k], _wnr[_k], _events[_k] = _u, _s, _dhat, _wnorm, _ev
+        if _k == _steps:
+            return _k + 1, None
+        try:
+{interval}
+        except _FAULTS as _exc:
+            return _fault(_exc, _records, _k, False)
+"""
+# the interval alone, as a function: its test entry, integrate_interval
+_INTERVAL_ENTRY = """\
+def interval(_y, _u, _t0, _dt, _substeps):
+    {ys}, = {xs}, = _y
+    t = _ts = _t0
+    _h = _dt / _substeps
+    _half, _sixth = 0.5 * _h, _h / 6.0
+{interval}
+    return {ys},
+"""
+
+
+def _fault(exc: Exception, records: tuple, k: int, in_law: bool) -> tuple:
+    """End the run at sample k on a fault in its control law, which leaves u,
+    s, d_hat and w_norm NaN, or in the interval after it; the terminal event
+    is appended to the sample's events. Returns (samples, terminal event)."""
+    terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
+    if in_law:
+        for column in records[4:8]:
+            column[k] = math.nan
+    events = records[8]
+    events[k] = terminal if events[k] == "" else f"{events[k]};{terminal}"
+    return k + 1, terminal
+
+
+_TEMPLATE_GLOBALS = {
+    "_isfinite": math.isfinite,
+    "_sin": math.sin,
+    "_LIMIT": DIVERGENCE_LIMIT,
+    "_DivergenceFault": DivergenceFault,
+    "_FAULTS": (ControllabilityFault, DivergenceFault),
+    "_fault": _fault,
+    "_stage_fault": _stage_fault,
+}
+
+
+def _reference_block(n: int, m: int) -> str:
+    """x_d^(k)(t) for k = 0..n of a reference with m sinusoidal components,
+    as _reference_values sums them: from the level (k = 0) or 0.0, each
+    component j's _cj_k * sin(_aj + k pi/2) added in component order."""
+    shifts = [repr(k * math.pi / 2.0) for k in range(n + 1)]
+    derivs = [
+        " + ".join(["_lvl" if k == 0 else "0.0", *(f"_c{j}_{k} * _sin(_a{j} + {shifts[k]})" for j in range(m))])
+        for k in range(n + 1)
+    ]
+    lines = [f"{', '.join(f'_xd{k}' for k in range(n + 1))} = {', '.join(derivs)}"]
+    if m:
+        lines.insert(0, f"{', '.join(f'_a{j}' for j in range(m))} = {', '.join(f'_om{j} * t + _ph{j}' for j in range(m))}")
+    return "\n".join(lines)
+
+
+@functools.cache
+def _loop_code(n: int, m: int, f: str | None, b: str | None, d: str | None, nominal_f: str | None, nominal_b: str | None):
+    """The compiled loop of an order-n run with an m-component reference:
+    the truth's f and b inlined in the interval, or called where f is None,
+    d inlined or, where None, called, and the nominal terms inlined in the law
+    or, where nominal_f is None, called."""
+    xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
+    source = _LOOP.format(
+        n=n,
+        xs=", ".join(xs),
+        ys=", ".join(ys),
+        reference=_reference_block(n, m).replace("\n", "\n" + " " * 8),
+        xr=", ".join(["_xr[_i]", *(f"_xr[_i + {i}]" for i in range(1, n))]),
+        xdr=", ".join(["_xdr[_i]", *(f"_xdr[_i + {i}]" for i in range(1, n))]),
+        xds=", ".join(f"_xd{i}" for i in range(n)),
+        d=f"({'_d(t)' if d is None else d})",
+        law=textwrap.indent(_law_block(n, nominal_f, nominal_b).rstrip(), " " * 12),
+        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 12),
+    )
+    return _function_code(source, f"loop n={n} m={m}")
+
+
+@functools.cache
+def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
+    """The compiled interval entry of an order-n plant (see _interval_block)."""
+    source = _INTERVAL_ENTRY.format(
+        xs=", ".join(f"x{i}" for i in range(n)),
+        ys=", ".join(f"_y{i}" for i in range(n)),
+        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 4),
+    )
+    return _function_code(source, f"interval n={n}")
+
+
+def _bind_truth(truth: PlantModel, d, bound: dict) -> tuple:
+    """The truth's (f, b) and d texts to inline, each None to call it, with
+    the values the interval reads added to bound."""
+    f, b = _inline_plant(truth, bound)
+    d_text = d.text if _inline(bound, {"t"}, d) else None
+    bound.update(_TEMPLATE_GLOBALS, _simulation=sys.modules[__name__], _truth=truth, _d=d)
+    return f, b, d_text
+
+
+def _bound_loop(truth: PlantModel, nominal: PlantModel, ctrl: ControllerState, ref: ReferenceSpec, d):
+    """The generated loop of one run, the values it reads bound as its
+    globals: the plants' parameters, when their terms are inlined, the
+    controller's and the reference's. Each run binds its own; only the
+    compiled code is kept."""
+    bound: dict = {"_lvl": float(ref.level)}
+    f, b, d_text = _bind_truth(truth, d, bound)
+    nominal_f, nominal_b = _bind_law(ctrl, nominal, bound)
+    for j, (omega, phase, coefs) in enumerate(ref._terms):
+        bound.update({f"_om{j}": float(omega), f"_ph{j}": float(phase)})
+        bound.update({f"_c{j}_{k}": float(coef) for k, (coef, _) in enumerate(coefs)})
+    code = _loop_code(truth.order, len(ref._terms), f, b, d_text, nominal_f, nominal_b)
+    return types.FunctionType(code, bound)
+
+
 def _bound_interval(truth: PlantModel, d):
-    """The generated interval of truth under d, their parameters bound as its
-    globals, for all intervals of a run. f and b are inlined when both are
-    Expressions, b a constant that passes the guard b_min, and no parameter
-    name is bound to two values or begins with "_", as the template's names
-    do; d is inlined when it is an Expression."""
-    bound = {**_TEMPLATE_GLOBALS, "_simulation": sys.modules[__name__], "_truth": truth, "_d": d}
-    f, b = truth.f_eval, truth.b_eval
-    if isinstance(f, Expression) and isinstance(b, Expression) and set(b.names) <= b.params.keys():
-        d_text, d_params = (d.text, d.params) if isinstance(d, Expression) else ("_d(t)", {})
-        params = {**f.params, **b.params, **d_params}
-        unique = all(params[k] is v for term in (f.params, b.params, d_params) for k, v in term.items())
-        if unique and not any(k.startswith("_") for k in params) and not abs(b(None, 0.0)) < truth.b_min:
-            return types.FunctionType(_interval_code(truth.order, f.text, b.text, d_text), {**bound, **params})
-    return types.FunctionType(_interval_code(truth.order, None, None, None), bound)
+    """The interval entry of truth under d, its values bound as its globals."""
+    bound: dict = {}
+    f, b, d_text = _bind_truth(truth, d, bound)
+    return types.FunctionType(_interval_code(truth.order, f, b, d_text if f else None), bound)
 
 
 def integrate_interval(
@@ -332,10 +461,11 @@ def integrate_interval(
     substeps: int,
     d,
 ) -> tuple:
-    """Advance the truth plant over one control interval with u held constant;
-    the disturbance d(t), such as the run's disturbance_sampler, is evaluated
-    at the true substep times. y is the state as Python floats (an array is
-    converted); the new state is returned as a tuple of them."""
+    """Advance the truth plant over one control interval with u held
+    constant, as a run's loop does; the disturbance d(t), such as the run's
+    disturbance_sampler, is evaluated at the true substep times. y is the
+    state as Python floats (an array is converted); the new state is returned
+    as a tuple of them."""
     if isinstance(y, np.ndarray):
         y = y.tolist()
     # float(u): u computed from array elements is a numpy scalar, which would
@@ -420,65 +550,22 @@ def run_closed_loop(
     count = steps + 1
     y = (_reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)).tolist()
 
-    t_arr = np.empty(count)
-    x_arr = np.empty((count, n))
-    xd_arr = np.empty((count, n))
-    u_arr = np.empty(count)
-    s_arr = np.empty(count)
-    dhat_arr = np.empty(count)
-    dtrue_arr = np.empty(count)
-    wnorm_arr = np.empty(count)
+    d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
+    loop = _bound_loop(truth, nominal, ctrl, ref, d)
+
+    t_arr, dtrue_arr, u_arr, s_arr, dhat_arr, wnorm_arr = (np.empty(count) for _ in range(6))
+    x_arr, xd_arr = np.empty((count, n)), np.empty((count, n))
     events: list = [""] * count
     w_hist = None
     if record_weights and ctrl.network is not None:
         w_hist = np.empty((count, ctrl.network.neuron_count))
-
-    d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
-
-    # From here on y is the state as floats, read by the control law as its
-    # row of x_arr, and x_d a raw array: y is finite (x0 was checked and the
-    # interval rejects non-finite states) and reference values are finite by
-    # construction of the ReferenceSpec. The loop carries the weights itself.
+    # y is finite (x0 was checked) and the reference is finite by
+    # construction of the ReferenceSpec; the loop carries the weights itself
+    # and writes each record through a memoryview of its array
+    columns = (t_arr, x_arr, xd_arr, dtrue_arr, u_arr, s_arr, dhat_arr, wnorm_arr)
+    records = (*(memoryview(c.reshape(-1)) for c in columns), events, w_hist)
     w = None if ctrl.network is None else ctrl.network.weights
-    terminal = None
-    recorded = 0
-    for k in range(count):
-        t_k = k * dt_ctrl
-        x_d, xd_n = _reference_values(ref, t_k)
-
-        t_arr[k] = t_k
-        x_arr[k] = y
-        x = x_arr[k]
-        xd_arr[k] = x_d
-        dtrue_arr[k] = d(t_k)
-        if w_hist is not None:
-            w_hist[k] = w
-
-        try:
-            u, s_arr[k], dhat_arr[k], wnorm_arr[k], w, events[k] = _control_law(
-                ctrl, nominal, x, x_d, xd_n, t_k, dt_ctrl, w
-            )
-        except (ControllabilityFault, DivergenceFault) as exc:
-            u_arr[k] = np.nan
-            s_arr[k] = np.nan
-            dhat_arr[k] = np.nan
-            wnorm_arr[k] = np.nan
-            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
-            events[k] = terminal
-            recorded = k + 1
-            break
-
-        u_arr[k] = u
-        recorded = k + 1
-
-        if k == steps:
-            break
-        try:
-            y = integrate_interval(truth, y, u, t_k, dt_ctrl, substeps, d)
-        except (ControllabilityFault, DivergenceFault) as exc:
-            terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
-            events[k] = terminal if events[k] == "" else f"{events[k]};{terminal}"
-            break
+    recorded, terminal = loop(y, steps, dt_ctrl, substeps, w, records)
 
     sl = slice(0, recorded)
     return Trajectory(

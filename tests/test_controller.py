@@ -303,3 +303,39 @@ class TestClosedLoopResiduals:
         resid = self.residual(traj, ctrl.gains.gains, extra=forcing)
         bound = 2.0 * self.error_model(traj, plant.b_eval(None, 0.0))
         assert np.all(np.abs(resid) <= bound)
+
+
+def inline_draws(rng, count):
+    """count state entries: signed log-uniform magnitudes from subnormal to
+    1e9, +-0.0, +-1e9, +-the smallest subnormal, and values in [-3, 3] whose
+    x**2 or x**3 (pow) rounds differently from x*x or x*x*x."""
+    out = (10.0 ** rng.uniform(-320.0, 9.0, count) * rng.choice([-1.0, 1.0], count)).tolist()
+    uniform = rng.uniform(-3.0, 3.0, 400_000).tolist()
+    squares = [a for a in uniform if a**2 != a * a][:200]
+    cubes = [a for a in uniform if a**3 != a * a * a][:1000]
+    assert len(squares) >= 50 and len(cubes) == 1000
+    specials = [0.0, -0.0, 1e9, -1e9, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+    out[: len(specials) + len(squares) + len(cubes)] = specials + squares + cubes
+    return out
+
+
+@pytest.mark.parametrize("name", ["pendulum", "duffing", "vanderpol"])
+def test_inlined_nominal_f_matches_the_call_on_an_array_row(name):
+    # the loop inlines a config plant's f text on Python float locals; the
+    # law used to call f_eval on the state's float64 array row instead
+    from neurofl.config import PLANT_BUILDERS
+
+    rng = np.random.default_rng(27)
+    count = 12_000
+    plants = [PLANT_BUILDERS[name]()]
+    params = {"pendulum": dict(m=1.3, l=0.7, c=0.25, g=9.7), "duffing": dict(a=0.3, b1=-1.1, b2=2.5, gain=0.8)}
+    plants.append(PLANT_BUILDERS[name](**params.get(name, dict(mu=2.3, gain=1.2))))
+    rows = np.array([inline_draws(rng, count), inline_draws(rng, count)]).T
+    times = rng.uniform(0.0, 50.0, count).tolist()
+    for plant in plants:
+        f = plant.f_eval
+        inlined = eval(f"lambda x0, x1, t: {f.text}", dict(f.params))
+        for k, (x0, x1) in enumerate(rows.tolist()):
+            called = f(rows[k], times[k])
+            assert type(x0) is float and type(called) is not float
+            assert np.float64(inlined(x0, x1, times[k])).view(np.int64) == np.float64(called).view(np.int64), (x0, x1)

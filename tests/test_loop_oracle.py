@@ -23,6 +23,7 @@ from neurofl.controller import ControllerState
 from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import (
+    Expression,
     PlantModel,
     _noise_series,
     constant_disturbance,
@@ -82,8 +83,8 @@ def frozen_control_law(ctrl, nominal, x, x_d, xd_n, t, dt_ctrl, w):
             raise DivergenceFault("s overflowed the RBF basis") from exc
         d_hat = float(np.dot(w, phi))
         w_norm = math.sqrt(float(np.dot(w, w)))
-        if not math.isfinite(s):
-            raise DivergenceFault("s is not finite")
+        if not math.isfinite(net.learning_rate * s):
+            raise DivergenceFault("eta*s is not finite")
         w = w + dt_ctrl * ((net.learning_rate * s) * phi - net.leakage * w)
         if net.weight_cap is not None:
             w = np.clip(w, -net.weight_cap, net.weight_cap)
@@ -94,6 +95,8 @@ def frozen_control_law(ctrl, nominal, x, x_d, xd_n, t, dt_ctrl, w):
     if ctrl.u_limit is not None and abs(u) > ctrl.u_limit:
         u = math.copysign(ctrl.u_limit, u)
         events.insert(0, "saturation")
+    if not math.isfinite(u):
+        raise DivergenceFault("u is not finite")
     return u, s, d_hat, w_norm, w, ";".join(events)
 
 
@@ -120,7 +123,13 @@ def frozen_integrate_interval(truth, y, u, t0, dt, substeps, dist):
             raise ControllabilityFault("b below guard during integration", state=y, t=tau)
         out = np.empty(n)
         out[: n - 1] = y[1:]
-        out[n - 1] = truth.f_eval(y, tau) + b * u + dist(tau)
+        try:
+            out[n - 1] = truth.f_eval(y, tau) + b * u + dist(tau)
+        except ValueError as exc:
+            # the plant's math on a stage that overflowed (sin(inf)) is a divergence
+            if np.isfinite(y).all():
+                raise
+            raise DivergenceFault("non-finite stage") from exc
         return out
 
     h = dt / substeps
@@ -362,3 +371,96 @@ def test_state_vector_x0_accepted():
     b = run_closed_loop(*args, x0=[0.2, 0.1])
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.u, b.u)
+
+
+# The generated loop inlines a plant whose f and b are Expressions with a
+# constant b and calls any other plant's terms (the call fill). Each plant
+# below runs both ways: as given, and with its terms wrapped in closures.
+EXPRESSION_F = {
+    1: "-0.8 * x0 + 0.3 * sin(x0) + 0.1 * cos(2.0 * t)",
+    2: "-1.3 * sin(x0) - 0.2 * x1 + 0.5 * x0 ** 3",
+    3: "-x0 - 0.4 * x1 - 0.2 * x2 ** 3 + 0.1 * sin(t)",
+}
+
+
+def expression_plant(order, f=None, b="gain", b_min=0.1, **params):
+    params = {"sin": math.sin, "cos": math.cos, "log": math.log, "gain": 1.5, **params}
+    return PlantModel(
+        order=order,
+        f_eval=Expression(f or EXPRESSION_F[order], params),
+        b_eval=Expression(b, params),
+        b_min=b_min,
+        name=f"expression{order}",
+    )
+
+
+def fill(plant, called):
+    """plant as given, or with f and b wrapped in closures, which the loop
+    calls instead of inlining."""
+    if not called:
+        return plant
+    f, b = plant.f_eval, plant.b_eval
+    return PlantModel(plant.order, lambda x, t: f(x, t), lambda x, t: b(x, t), plant.b_min, plant.name)
+
+
+# fault -> (truth f, truth params, nominal f, nominal params, controller
+# keywords, reference level, x0 entry (or one per order), substeps, expected
+# terminal event).
+# None takes the order's EXPRESSION_F. The first five raise in the control
+# law, the rest in the interval.
+RAISE_SITES = {
+    "nominal-b-guard": (None, {}, None, {"b": "1.0 - 0.4 * t"}, {}, 0.0, 0.1, 1, EVENT_CONTROLLABILITY),
+    "basis-overflow": (None, {}, None, {}, {"mode": COMPENSATED}, 1e300, 0.3, 1, EVENT_DIVERGENCE),
+    "adaptation-gain": (None, {}, None, {}, {"mode": COMPENSATED, "eta": 1e300}, 0.0, 1e9, 1, EVENT_DIVERGENCE),
+    "non-finite-u": (None, {}, "k * x0", {"k": math.inf}, {}, 0.0, 0.3, 1, EVENT_DIVERGENCE),
+    "saturation-and-weight-cap": (
+        None, {}, None, {}, {"mode": COMPENSATED, "lam": 4.0, "u_limit": 0.5, "weight_cap": 1e-3},
+        0.0, {1: 0.3, 2: 0.15, 3: 0.05}, 1, None,
+    ),
+    "controllability-in-integration": (None, {"b": "1.0 - 0.4 * t"}, None, {}, {}, 0.0, 0.1, 2, EVENT_CONTROLLABILITY),
+    "non-finite-stage": ("sin(x0) + k * x{last}", {"k": 1e300}, None, {}, {}, 0.0, 1e9, 2, EVENT_DIVERGENCE),
+    "overflow": ("x{last} ** 3", {}, None, {}, {}, 0.0, 1e9, 2, EVENT_DIVERGENCE),
+    "non-finite-output": ("k * x0", {"k": 1e300}, None, {}, {}, 0.0, 1e9, 2, EVENT_DIVERGENCE),
+    "divergence-limit": ("k", {"k": 1e12}, None, {}, {}, 0.0, 0.995e9, 2, EVENT_DIVERGENCE),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("site", list(RAISE_SITES))
+def test_every_raise_site_matches_oracle_on_both_fills(site, order, called):
+    # the oracle's numpy arithmetic overflows with a warning where the
+    # loop's Python floats raise or overflow silently; the records agree
+    truth_f, truth_params, nominal_f, nominal_params, keywords, level, x0, substeps, event = RAISE_SITES[site]
+    truth_params, nominal_params, keywords = dict(truth_params), dict(nominal_params), dict(keywords)
+    truth_b, nominal_b = truth_params.pop("b", "gain"), nominal_params.pop("b", "gain")
+    truth_f = truth_f and truth_f.format(last=order - 1)
+    truth = expression_plant(order, truth_f, truth_b, b_min=0.5, **truth_params)
+    nominal = expression_plant(order, nominal_f, nominal_b, b_min=0.5, **nominal_params)
+    net = default_network(9, 0.8, keywords.pop("eta", 40.0), kappa=0.05, weight_cap=keywords.pop("weight_cap", None))
+    compensated = keywords.pop("mode", "baseline") == COMPENSATED
+    ctrl = ControllerState(gains=GainVector(keywords.pop("lam", 2.0), order), network=net if compensated else None, **keywords)
+    x0 = x0[order] if isinstance(x0, dict) else x0
+    traj = assert_matches_oracle(
+        fill(truth, called), fill(nominal, called), ctrl, constant_reference(level, order),
+        constant_disturbance(0.3), 3.0, 1e-2, substeps, x0=[x0] * order,
+    )
+    if event is None:
+        assert "saturation;weight_cap" in traj.event
+    else:
+        assert traj.terminal_event == event
+        assert traj.terminal_t == traj.t[-1] and traj.event[-1].endswith(event)
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_value_error_on_a_finite_stage_propagates_on_both_fills(order, called):
+    truth = fill(expression_plant(order, "log(x0 - 2.0)", b_min=0.5), called)
+    nominal = fill(expression_plant(order, b_min=0.5), called)
+    ctrl = ControllerState(gains=GainVector(2.0, order))
+    args = (truth, nominal, ctrl, constant_reference(0.0, order), no_disturbance(), 0.5, 1e-2, 2)
+    with pytest.raises(ValueError, match="^math domain error$"):
+        run_closed_loop(*args[:5], 2.0, *args[5:], x0=[1.0] * order)
+    with pytest.raises(ValueError, match="^math domain error$"):
+        oracle_closed_loop(*args, x0=[1.0] * order)

@@ -1,12 +1,19 @@
+import ast
+import builtins
 import dataclasses
+import importlib.util
+import linecache
 import math
 import pickle
+import traceback
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neurofl import plants, simulation
+from neurofl import controller, plants, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
@@ -335,6 +342,21 @@ class TestGeneratedInterval:
         assert simulation._bound_interval(plain, d).__code__ is not simulation._interval_code(2, None, None, None)
         assert every_fill(shadowed, (0.3, -0.1), 0.5, 0.0, 0.01, d) == every_fill(plain, (0.3, -0.1), 0.5, 0.0, 0.01, d)
 
+    @pytest.mark.parametrize(
+        "f, params",
+        [("-h * abs(x0) - x1", {"h": 3.0, "abs": math.fabs}), ("-h * x[0] - x[1]", {"h": 3.0})],
+        ids=["parameter-named-like-a-builtin", "reads-the-state-argument"],
+    )
+    def test_a_term_generated_code_cannot_read_is_called(self, f, params):
+        # abs in generated code is the builtin, and x its state argument only
+        # inside the Expression's own function
+        plant = expression_plant(2, f, **params)
+        twin = expression_plant(2, f.replace("x[0]", "x0").replace("x[1]", "x1"), h=3.0)
+        d = disturbance_sampler(constant_disturbance(0.2), 1.0)
+        assert simulation._bound_interval(plant, d).__code__ is simulation._interval_code(2, None, None, None)
+        assert simulation._bound_interval(twin, d).__code__ is not simulation._interval_code(2, None, None, None)
+        assert every_fill(plant, (0.3, -0.1), 0.5, 0.0, 0.01, d) == every_fill(twin, (0.3, -0.1), 0.5, 0.0, 0.01, d)
+
     def test_compiles_each_source_once(self):
         simulation._interval_code.cache_clear()
         for plant in (pendulum_plant(), pendulum_plant(c=0.3), called(pendulum_plant()), called(duffing_plant())):
@@ -395,6 +417,98 @@ class TestPlantsAsDataInRuns:
             )
         assert runs[0].terminal_event is None and len(runs[0]) == 301
         assert trajectory_bytes(runs[0]) == trajectory_bytes(runs[1]) == trajectory_bytes(runs[2])
+
+
+# statements in any generated loop (ast.stmt nodes, its def included):
+# compiling takes memory and time in proportion to them
+MAX_LOOP_STATEMENTS = 55
+
+
+def sweep_grid_setups():
+    """The 96 experiments of the benchmark's sweep-grid workload at seed 0."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [build_experiment(config_from_dict(raw)) for raw in workloads.sweep_grid(0)]
+
+
+def run_setup(setup):
+    return run_closed_loop(
+        setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
+        setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
+    )
+
+
+class TestGeneratedLoop:
+    @pytest.mark.parametrize("fault", [False, True], ids=["complete", "basis-overflow"])
+    def test_a_run_keeps_neither_its_plant_nor_its_disturbance(self, monkeypatch, fault):
+        # the loop's globals hold the truth plant and the disturbance with its
+        # noise list (2,001 floats here); nothing may hold them after the run
+        samplers = []
+        real = simulation.disturbance_sampler
+
+        def recording(spec, t_end):
+            d = real(spec, t_end)
+            samplers.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(simulation, "disturbance_sampler", recording)
+
+        def run():
+            truth = pendulum_plant(c=0.1)
+            dist = noise_disturbance(0.3, 4.0, seed=5, sample_dt=1e-5)
+            ctrl = ControllerState(gains=GainVector(2.0, 2), network=default_network(7, 1.0, 5.0))
+            ref = constant_reference(1e300, 2) if fault else sinusoid_reference(0.5, 1.0, 0.0, 2)
+            traj = run_closed_loop(truth, truth, ctrl, ref, dist, 2.0, 0.02, 1e-3, 2, x0=[0.2, 0.0])
+            return traj, [weakref.ref(truth), weakref.ref(dist), weakref.ref(truth.f_eval), samplers[-1]]
+
+        traj, refs = run()
+        assert traj.terminal_event == ("divergence" if fault else None)
+        assert [ref() for ref in refs] == [None] * 4
+
+    def test_sweep_grid_compiles_one_loop_per_key(self, monkeypatch):
+        # one loop per distinct (order, f, b, d, reference shape); the network,
+        # u_limit, weight_cap and record_weights are runtime checks. Besides
+        # the loops, only each disturbance text is compiled (text and function)
+        setups = sweep_grid_setups()
+        for cache in (simulation._loop_code, simulation._interval_code, controller._law_code, plants._expression_code):
+            cache.cache_clear()
+        compiled = []
+        real = builtins.compile
+
+        def counting(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        for setup in setups:
+            assert run_setup(setup).terminal_event is None
+        keys = {(s.truth.order, s.truth.f_eval.text, s.truth.b_eval.text, s.dist.kind, len(s.ref._terms)) for s in setups}
+        loops = [name for name in compiled if name.startswith("<neurofl loop n=2 m=1 #")]
+        assert len(loops) == len(keys) == 12
+        assert len(compiled) - len(loops) == 2 * len({s.dist.kind for s in setups}) == 8
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_each_loop_stays_under_the_statement_budget(self, order):
+        for m in (0, 1, 2):
+            for f, b, d in ((None, None, None), ("x0 * c", "k", "d_offset")):
+                code = simulation._loop_code(order, m, f, b, d, f, b)
+                source = "".join(linecache.getlines(code.co_filename))
+                statements = sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(source)))
+                assert statements <= MAX_LOOP_STATEMENTS, (order, m, f)
+
+    def test_tracebacks_show_the_generated_lines(self):
+        # a ValueError on a finite stage leaves the run through the loop,
+        # whose registered source names the inlined text
+        plant = expression_plant(2, "log(x0 - 2.0)", log=math.log)
+        ctrl = ControllerState(gains=GainVector(2.0, 2))
+        with pytest.raises(ValueError) as info:
+            run_closed_loop(plant, integrator_plant(), ctrl, constant_reference(0.0, 2), no_disturbance(), 2.0,
+                            0.1, 1e-2, 1, x0=[1.0, 0.0])
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<neurofl loop n=2 m=0 #' in text and "in loop" in text
+        assert "_a1 = (log(x0 - 2.0)) + _bu + (0.0)" in text
 
 
 class TestReferenceAt:
