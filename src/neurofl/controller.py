@@ -22,7 +22,9 @@ from .dynamics import GainVector, StateVector
 from .dynamics import filtered_error, tracking_error  # noqa: F401
 from .errors import ControllabilityFault, DivergenceFault
 from .plants import PlantModel, _function_code, _inline_plant
-from .rbf import RbfNetwork, _adapt_with_phi, activations
+from .rbf import RbfNetwork, _adapt_with_phi, _bind_basis
+# unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
+from .rbf import activations  # noqa: F401
 
 __all__ = ["ControllerState", "StepLog", "control_step"]
 
@@ -57,12 +59,12 @@ class StepLog:
     event: str = ""
 
 
-def _network_step(net: RbfNetwork, w: np.ndarray, s: float, dt_ctrl: float, t: float) -> tuple:
+def _network_step(net: RbfNetwork, basis, w: np.ndarray, s: float, dt_ctrl: float, t: float) -> tuple:
     """(d_hat, w_norm, the adapted weights, event) of one sample: the basis at
-    s, sum_i w_i phi_i(s), |w| and one adaptation step, with the weight-cap
-    event when a weight reaches the cap."""
+    s (basis is net's, from _bind_basis), sum_i w_i phi_i(s), |w| and one
+    adaptation step, with the weight-cap event when a weight reaches the cap."""
     try:
-        phi = activations(net, s)
+        phi = basis(s)
     except OverflowError as exc:
         # (s - mu)**2 on a Python float raises where it would overflow to inf
         raise DivergenceFault(f"combined error s={s:.3g} overflowed the RBF basis at t={t:.6g}") from exc
@@ -81,32 +83,51 @@ def _network_step(net: RbfNetwork, w: np.ndarray, s: float, dt_ctrl: float, t: f
 # (the call fill). The network's step is a call: written out, it would
 # double the statements each loop compiles. The last check catches a
 # non-finite u before the plant's own arithmetic (math.sin, say) fails on it
-# in the interval. The block leaves _u, _s, _dhat, _wnorm, the adapted
-# weights _w and the event _ev.
+# in the interval. A TypeError is a divergence when _fv or _bv is complex (a
+# fractional power of a negative number, say), so the function that runs
+# the block binds both, as 0.0, before its first sample. The block leaves
+# _u, _s, _dhat, _wnorm, the adapted weights _w and the event _ev.
 _LAW = """\
-{nominal}
-{errors}
-_s = _float(_s_dot(_xtv))
-_dhat, _wnorm, _w, _ev = (0.0, 0.0, _w, "") if _net is None else _network_step(_net, _w, _s, _dt, t)
-_u = (-_fv + _xd{n} - _float(_k_dot(_xtv)) - _dhat) / _bv
-if _ulim is not None and abs(_u) > _ulim:
-    _u = _copysign(_ulim, _u)
-    _ev = "{saturation}" if _ev == "" else "{saturation};" + _ev
-if not _isfinite(_u):
-    raise _DivergenceFault("control input u=%s is not finite at t=%.6g" % (_u, t))
+try:
+    {nominal}
+    {errors}
+    _s = _float(_s_dot(_xtv))
+    _dhat, _wnorm, _w, _ev = (0.0, 0.0, _w, "") if _net is None else _network_step(_net, _basis, _w, _s, _dt, t)
+    _u = (-_fv + _xd{n} - _float(_k_dot(_xtv)) - _dhat) / _bv
+    if _ulim is not None and abs(_u) > _ulim:
+        _u = _copysign(_ulim, _u)
+        _ev = "{saturation}" if _ev == "" else "{saturation};" + _ev
+    if not _isfinite(_u):
+        raise _DivergenceFault("control input u=%s is not finite at t=%.6g" % (_u, t))
+except TypeError as _exc:
+    _complex_fault(_exc, (_fv, _bv), t)
 """
-# the call fill: f and b called on the state as a new array, as floats
+# the call fill: f and b called on the state as a new array, as floats;
+# each raw value is bound first, so the handler sees a complex one that
+# float() rejects
 _CALLED = """\
 _xv = _array(({xs},))
-_fv, _bv = _float(_nf(_xv, t)), _float(_nb(_xv, t))
+_fv, _bv = _float(_fv := _nf(_xv, t)), _float(_bv := _nb(_xv, t))
 if abs(_bv) < _nbmin:
     raise _ControllabilityFault("|b|=%.3g below guard %.3g" % (abs(_bv), _nbmin), state=_xv, t=t)"""
+
+
+def _complex_fault(exc: TypeError, nominal: tuple, t: float):
+    """Raise what a TypeError in the control law means: a complex nominal f
+    or b, which makes u complex where numpy scalars would give NaN, is a
+    divergence; any other TypeError propagates."""
+    if any(isinstance(v, complex) for v in nominal):
+        raise DivergenceFault(f"control input u is complex at t={t:.6g}") from exc
+    raise exc
+
+
 _LAW_GLOBALS = {
     "_float": float,
     "_copysign": math.copysign,
     "_isfinite": math.isfinite,
     "_array": np.array,
     "_network_step": _network_step,
+    "_complex_fault": _complex_fault,
     "_DivergenceFault": DivergenceFault,
     "_ControllabilityFault": ControllabilityFault,
 }
@@ -118,7 +139,7 @@ def _law_block(n: int, f: str | None, b: str | None) -> str:
     xs = ", ".join(f"x{i}" for i in range(n))
     nominal = _CALLED.format(xs=xs) if f is None else f"_fv, _bv = ({f}), ({b})"
     errors = f"{', '.join(f'_xt[{i}]' for i in range(n))} = {', '.join(f'x{i} - _xd{i}' for i in range(n))}"
-    return _LAW.format(nominal=nominal, errors=errors, n=n, saturation=EVENT_SATURATION)
+    return _LAW.format(nominal=nominal.replace("\n", "\n    "), errors=errors, n=n, saturation=EVENT_SATURATION)
 
 
 def _bind_law(ctrl: ControllerState, plant_nominal: PlantModel, bound: dict) -> tuple:
@@ -133,6 +154,7 @@ def _bind_law(ctrl: ControllerState, plant_nominal: PlantModel, bound: dict) -> 
         _nb=plant_nominal.b_eval,
         _nbmin=plant_nominal.b_min,
         _net=ctrl.network,
+        _basis=None if ctrl.network is None else _bind_basis(ctrl.network),
         _ulim=ctrl.u_limit,
         _xt=errors,
         _xtv=np.frombuffer(errors),
@@ -145,6 +167,7 @@ def _bind_law(ctrl: ControllerState, plant_nominal: PlantModel, bound: dict) -> 
 _STEP = """\
 def law(_x, _xd, t, _dt, _w):
     {xs}, = _x
+    _fv = _bv = 0.0
     {xds}, = _xd
 {law}
     return _u, _s, _dhat, _wnorm, _w, _ev

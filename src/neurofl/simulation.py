@@ -22,7 +22,7 @@ from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, _function_code, _inline, _inline_plant, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
-from .rbf import RbfNetwork, _check_leakage_step, activations
+from .rbf import RbfNetwork, _bind_basis, _check_leakage_step
 
 __all__ = [
     "ReferenceSpec",
@@ -253,22 +253,26 @@ try:
         {update}
         if not ({finite}):
             raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
-except (ValueError, OverflowError) as _exc:
-    _stage_fault(_exc, ({xs},), t, _ts)
+except (ValueError, OverflowError, TypeError) as _exc:
+    _stage_fault(_exc, ({xs}, {ys}), t, _ts)
 if {beyond}:
     raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
 """
 
 
 def _stage_fault(exc: Exception, stage: tuple, t: float, ts: float):
-    """Raise what an error in an RK4 interval's arithmetic means: at the
-    stage state and time t of the substep from ts, an overflow or a
-    ValueError on a non-finite stage state is a divergence, and a ValueError
-    on a finite one propagates."""
+    """Raise what an error in an RK4 interval's arithmetic means, given the
+    values of the stage at time t of the substep from ts (its state and the
+    substep's start state): an overflow, a complex value (a fractional power
+    of a negative number, say) or a ValueError on a non-finite value is a
+    divergence; any other TypeError or ValueError propagates."""
     if isinstance(exc, OverflowError):
         # Python floats raise where numpy scalars overflow to inf
         raise DivergenceFault(f"state overflowed in the RK4 step at t={ts:.6g}") from exc
-    if all(map(math.isfinite, stage)):
+    if any(isinstance(v, complex) for v in stage):
+        # Python floats give a complex number where numpy scalars give NaN
+        raise DivergenceFault(f"complex RK4 stage state at t={t:.6g}") from exc
+    if isinstance(exc, TypeError) or all(map(math.isfinite, stage)):
         raise exc
     # whatever the plant's math makes of a stage state that overflowed to
     # inf (math.sin(inf) raises ValueError)
@@ -310,13 +314,14 @@ def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
 # One run: for each sample k, the reference derivatives _xd0, ..., _xd{n}
 # at t = k*dt as _reference_values sums them, the records of t, the state,
 # the reference and d(t), the control law, and the interval to the next
-# sample. Returns the samples recorded and the terminal event.
+# sample. The law's nominal terms _fv and _bv start at 0.0 (see
+# controller._LAW). Returns the samples recorded and the terminal event.
 _LOOP = """\
 def loop(_y, _steps, _dt, _substeps, _w, _records):
     _tr, _xr, _xdr, _dtr, _ur, _sr, _dhr, _wnr, _events, _wh = _records
     {ys}, = _y
     _h = _dt / _substeps
-    _half, _sixth = 0.5 * _h, _h / 6.0
+    _half, _sixth, _fv, _bv = 0.5 * _h, _h / 6.0, 0.0, 0.0
     for _k in range(_steps + 1):
         t = _t0 = _k * _dt
         {reference}
@@ -627,6 +632,7 @@ def ideal_disturbance_plant(
         raise ValueError("reference order must equal plant order")
     filt = GainVector(lam, base.order).filter_weights
     w_target = target.weights
+    basis = _bind_basis(target)
     base_f = base.f_eval
     if not ref.components:
         xd_const = _reference_values(ref, 0.0)[0]
@@ -637,7 +643,7 @@ def ideal_disturbance_plant(
     def f_with_net(x, t):
         vals = x.values if isinstance(x, StateVector) else x
         s = float(np.dot(filt, vals - ref_vals(t)))
-        return base_f(x, t) + float(np.dot(w_target, activations(target, s)))
+        return base_f(x, t) + float(np.dot(w_target, basis(s)))
 
     return PlantModel(
         order=base.order,

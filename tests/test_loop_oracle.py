@@ -406,13 +406,16 @@ def fill(plant, called):
 # fault -> (truth f, truth params, nominal f, nominal params, controller
 # keywords, reference level, x0 entry (or one per order), substeps, expected
 # terminal event).
-# None takes the order's EXPRESSION_F. The first five raise in the control
-# law, the rest in the interval.
+# None takes the order's EXPRESSION_F. The first six raise in the control
+# law, the rest in the interval. A fractional power of a negative state
+# entry is complex on Python floats, where the oracle's numpy scalars give
+# NaN; the reference level drives that entry negative.
 RAISE_SITES = {
     "nominal-b-guard": (None, {}, None, {"b": "1.0 - 0.4 * t"}, {}, 0.0, 0.1, 1, EVENT_CONTROLLABILITY),
     "basis-overflow": (None, {}, None, {}, {"mode": COMPENSATED}, 1e300, 0.3, 1, EVENT_DIVERGENCE),
     "adaptation-gain": (None, {}, None, {}, {"mode": COMPENSATED, "eta": 1e300}, 0.0, 1e9, 1, EVENT_DIVERGENCE),
     "non-finite-u": (None, {}, "k * x0", {"k": math.inf}, {}, 0.0, 0.3, 1, EVENT_DIVERGENCE),
+    "complex-nominal-term": (None, {}, "-x0 - k * x{last} ** 0.5", {"k": 0.1}, {}, -0.5, 0.3, 1, EVENT_DIVERGENCE),
     "saturation-and-weight-cap": (
         None, {}, None, {}, {"mode": COMPENSATED, "lam": 4.0, "u_limit": 0.5, "weight_cap": 1e-3},
         0.0, {1: 0.3, 2: 0.15, 3: 0.05}, 1, None,
@@ -422,23 +425,25 @@ RAISE_SITES = {
     "overflow": ("x{last} ** 3", {}, None, {}, {}, 0.0, 1e9, 2, EVENT_DIVERGENCE),
     "non-finite-output": ("k * x0", {"k": 1e300}, None, {}, {}, 0.0, 1e9, 2, EVENT_DIVERGENCE),
     "divergence-limit": ("k", {"k": 1e12}, None, {}, {}, 0.0, 0.995e9, 2, EVENT_DIVERGENCE),
+    "complex-stage": ("-x0 - k * x{last} ** 0.5", {"k": 0.1}, None, {}, {}, -0.5, 0.3, 2, EVENT_DIVERGENCE),
+    "complex-stage-in-plant-math": (
+        "sin(x0) - k * x{last} ** 0.5", {"k": 0.1}, None, {}, {}, -0.5, 0.3, 2, EVENT_DIVERGENCE,
+    ),
 }
+# the sites that run the network
+COMPENSATED_SITES = [site for site, entry in RAISE_SITES.items() if entry[4].get("mode") == COMPENSATED]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
-@pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("site", list(RAISE_SITES))
-def test_every_raise_site_matches_oracle_on_both_fills(site, order, called):
-    # the oracle's numpy arithmetic overflows with a warning where the
-    # loop's Python floats raise or overflow silently; the records agree
+def assert_raise_site_matches_oracle(site, order, called, neurons=9):
     truth_f, truth_params, nominal_f, nominal_params, keywords, level, x0, substeps, event = RAISE_SITES[site]
     truth_params, nominal_params, keywords = dict(truth_params), dict(nominal_params), dict(keywords)
     truth_b, nominal_b = truth_params.pop("b", "gain"), nominal_params.pop("b", "gain")
     truth_f = truth_f and truth_f.format(last=order - 1)
+    nominal_f = nominal_f and nominal_f.format(last=order - 1)
     truth = expression_plant(order, truth_f, truth_b, b_min=0.5, **truth_params)
     nominal = expression_plant(order, nominal_f, nominal_b, b_min=0.5, **nominal_params)
-    net = default_network(9, 0.8, keywords.pop("eta", 40.0), kappa=0.05, weight_cap=keywords.pop("weight_cap", None))
+    eta, cap = keywords.pop("eta", 40.0), keywords.pop("weight_cap", None)
+    net = default_network(neurons, 0.8, eta, kappa=0.05, weight_cap=cap)
     compensated = keywords.pop("mode", "baseline") == COMPENSATED
     ctrl = ControllerState(gains=GainVector(keywords.pop("lam", 2.0), order), network=net if compensated else None, **keywords)
     x0 = x0[order] if isinstance(x0, dict) else x0
@@ -453,6 +458,48 @@ def test_every_raise_site_matches_oracle_on_both_fills(site, order, called):
         assert traj.terminal_t == traj.t[-1] and traj.event[-1].endswith(event)
 
 
+# the oracle's numpy arithmetic overflows with a warning where the loop's
+# Python floats raise or overflow silently, and at the complex sites its
+# fractional power of a negative number is NaN with a warning where the
+# loop's is complex; the records agree
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "site",
+    [
+        pytest.param(site, marks=pytest.mark.filterwarnings("ignore:invalid value encountered in scalar power"))
+        if site.startswith("complex") else site
+        for site in RAISE_SITES
+    ],
+)
+def test_every_raise_site_matches_oracle_on_both_fills(site, order, called):
+    assert_raise_site_matches_oracle(site, order, called)
+
+
+# 65 neurons: the basis runs as a block of 64 and a block of 1
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("site", COMPENSATED_SITES)
+def test_compensated_raise_sites_match_oracle_across_basis_blocks(site, order, called):
+    assert_raise_site_matches_oracle(site, order, called, neurons=65)
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_wide_network_matches_oracle_on_both_fills(order, called):
+    plant = fill(expression_plant(order, b_min=0.5), called)
+    net = default_network(65, 0.8, 40.0, kappa=0.05)
+    traj = assert_matches_oracle(
+        plant, plant, ControllerState(gains=GainVector(2.0, order), network=net), reference("sum-of-sinusoids", order),
+        noise_disturbance(0.5, 3.0, seed=11, sample_dt=1e-2), 0.5, 1e-2, 2, x0=[0.3] * order,
+    )
+    assert traj.terminal_event is None
+    # the second block's one neuron adapts too
+    assert traj.weights[-1, 64] != 0.0 and np.any(traj.d_hat != 0.0)
+
+
 @pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_a_value_error_on_a_finite_stage_propagates_on_both_fills(order, called):
@@ -464,3 +511,17 @@ def test_a_value_error_on_a_finite_stage_propagates_on_both_fills(order, called)
         run_closed_loop(*args[:5], 2.0, *args[5:], x0=[1.0] * order)
     with pytest.raises(ValueError, match="^math domain error$"):
         oracle_closed_loop(*args, x0=[1.0] * order)
+
+
+@pytest.mark.parametrize("where", ["truth", "nominal"])
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_type_error_on_real_values_propagates_on_both_fills(order, called, where):
+    # only a complex value is a divergence
+    broken = fill(expression_plant(order, "x0 + tag(x0)", b_min=0.5, tag="w"), called)
+    plain = fill(expression_plant(order, b_min=0.5), called)
+    truth, nominal = (broken, plain) if where == "truth" else (plain, broken)
+    ctrl = ControllerState(gains=GainVector(2.0, order), network=default_network(65, 0.8, 40.0))
+    with pytest.raises(TypeError, match="object is not callable"):
+        run_closed_loop(truth, nominal, ctrl, constant_reference(0.0, order), no_disturbance(), 2.0, 0.5, 1e-2, 2,
+                        x0=[1.0] * order)

@@ -1,4 +1,8 @@
+import ast
+import linecache
 import math
+import random
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,11 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from neurofl import rbf
 from neurofl.controller import ControllerState, control_step
 from neurofl.dynamics import GainVector
 from neurofl.errors import DivergenceFault
-from neurofl.plants import PlantModel
+from neurofl.plants import PlantModel, no_disturbance
 from neurofl.rbf import RbfNetwork, _adapt_with_phi, activations, default_network
+from neurofl.simulation import EVENT_DIVERGENCE, constant_reference, run_closed_loop
 
 # frozen oracle: exp(-1/2) evaluated independently
 EXP_MINUS_HALF = 0.6065306597126334
@@ -103,6 +109,122 @@ class TestActivations:
         for s in sweep:
             expected = [gaussian_oracle(s, mu, sigma) for mu, sigma in zip(centers, widths)]
             assert activations(net, s).tolist() == expected, s
+
+
+def comprehension_basis(net, s):
+    """An independent copy of the basis as a comprehension over the centers
+    and 2 sigma^2, the form the network evaluated before its basis was
+    generated code."""
+    pairs = [(mu, 2.0 * sigma * sigma) for mu, sigma in zip(net.centers.tolist(), net.widths.tolist())]
+    return [math.exp(-((s - mu) ** 2) / two_var) for mu, two_var in pairs]
+
+
+def basis_or_overflow(basis, s):
+    try:
+        return basis(s)
+    except OverflowError:
+        return OverflowError
+
+
+# the largest s whose square is finite
+SQRT_MAX = 1.3407807929942596e154
+
+
+class TestGeneratedBasis:
+    """The generated basis against comprehension_basis, bit for bit, across
+    the 64-term block boundary."""
+
+    @pytest.mark.parametrize("neurons", [1, 2, 7, 9, 61, 64, 65, 129])
+    def test_matches_the_comprehension_bitwise(self, neurons):
+        net = default_network(neurons, 1.5, 5.0)
+        basis = rbf._bind_basis(net)
+        rng = random.Random(neurons)
+        draws = [rng.uniform(-4.0, 4.0) for _ in range(200)] + [rng.gauss(0.0, 1e-3) for _ in range(50)]
+        for s in [0.0, -0.0, 1e-300, -1e-300, 5e-324, *net.centers.tolist(), *draws]:
+            assert basis(s).tolist() == comprehension_basis(net, s), s
+        # the one buffer, overwritten by each call; activations copies it
+        assert basis(0.3) is basis(-0.3)
+        assert activations(net, 0.3) is not activations(net, 0.3)
+
+    def test_matches_the_comprehension_at_the_widest_network(self):
+        net = default_network(rbf.MAX_NEURONS, 2.0, 5.0)
+        basis = rbf._bind_basis(net)
+        for s in (0.0, 1.37, -1.9999, random.Random(5).uniform(-2.0, 2.0)):
+            assert basis(s).tolist() == comprehension_basis(net, s), s
+
+    @pytest.mark.parametrize("neurons", [1, 9, 65])
+    def test_overflows_where_the_comprehension_does(self, neurons):
+        net = default_network(neurons, 1.0, 5.0)
+        basis = rbf._bind_basis(net)
+        near = [SQRT_MAX, math.nextafter(SQRT_MAX, math.inf), 1.3e154, 1.35e154, 1e300]
+        outcomes = []
+        for s in near + [-v for v in near]:
+            expected = basis_or_overflow(lambda v: comprehension_basis(net, v), s)
+            got = basis_or_overflow(lambda v: basis(v).tolist(), s)
+            assert got == expected, s
+            outcomes.append(got is OverflowError)
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 3e-162, 1e150, 1e154], ids=["subnormal", "smallest", "huge", "inf"])
+    def test_matches_the_comprehension_at_extreme_widths(self, sigma):
+        # 2 sigma^2 is subnormal, the smallest subnormal, near the float
+        # maximum, or overflows to inf
+        centers = np.linspace(-1.0, 1.0, 70)
+        net = make_net(centers, widths=np.full(70, sigma))
+        basis = rbf._bind_basis(net)
+        for s in [0.0, -0.0, 1e-300, *centers[::7].tolist(), 0.123, -5.0, 1e100]:
+            assert basis(s).tolist() == comprehension_basis(net, s), s
+
+    def test_an_overflow_ends_a_run_in_the_same_divergence(self):
+        # on an order-1 loop s is the state error itself
+        net = default_network(65, 1.0, 5.0)
+        ctrl = ControllerState(gains=GainVector(1.0, 1), network=net)
+        plant = PlantModel(order=1, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 1.0, b_min=0.5, name="integrator")
+        message = "combined error s=1.35e+154 overflowed the RBF basis at t=0"
+        with pytest.raises(DivergenceFault, match=f"^{re.escape(message)}$"):
+            control_step(ctrl, plant, np.array([0.0]), np.array([-1.35e154]), 0.0, 0.0, 1e-3)
+        traj = run_closed_loop(plant, plant, ctrl, constant_reference(-1.35e154, 1), no_disturbance(), 1.0,
+                               0.1, 1e-2, 1, x0=[0.0])
+        assert traj.terminal_event == EVENT_DIVERGENCE and traj.event == [EVENT_DIVERGENCE]
+        assert np.isnan(traj.u[0]) and np.isnan(traj.s[0])
+
+
+def generated_bases(monkeypatch):
+    """The sources of the bases compiled from here on, in order."""
+    rbf._basis_code.cache_clear()
+    sources = []
+    real = rbf._function_code
+
+    def recording(source, name=None):
+        code = real(source, name)
+        sources.append("".join(linecache.getlines(code.co_filename)))
+        assert code.co_filename.startswith(f"<neurofl {name} #") and name.startswith("basis m=")
+        return code
+
+    monkeypatch.setattr(rbf, "_function_code", recording)
+    return sources
+
+
+def basis_terms(source):
+    """The basis responses a generated source computes: its calls of _exp."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return sum(getattr(call.func, "id", "") == "_exp" for call in calls)
+
+
+class TestBasisCompiles:
+    def test_no_compiled_basis_exceeds_the_block(self, monkeypatch):
+        sources = generated_bases(monkeypatch)
+        for neurons in (1, 63, 64, 65, 128, 129, 200):
+            activations(default_network(neurons, 1.0, 5.0), 0.2)
+        # one code per block size: 1, 63, 64 (65, 128 and 129 reuse 64 and 1), 8
+        assert [basis_terms(source) for source in sources] == [1, 63, 64, 8]
+        assert max(basis_terms(source) for source in sources) <= rbf.BASIS_TERMS == 64
+
+    def test_the_widest_network_compiles_a_block_and_its_remainder(self, monkeypatch):
+        sources = generated_bases(monkeypatch)
+        phi = activations(default_network(rbf.MAX_NEURONS, 1.0, 5.0), 0.2)
+        assert phi.shape == (rbf.MAX_NEURONS,)
+        assert sorted(basis_terms(source) for source in sources) == [rbf.MAX_NEURONS % 64, 64]
 
 
 def d_hat(net, s):

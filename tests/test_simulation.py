@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neurofl import controller, plants, simulation
+from neurofl import controller, plants, rbf, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
@@ -470,9 +470,11 @@ class TestGeneratedLoop:
     def test_sweep_grid_compiles_one_loop_per_key(self, monkeypatch):
         # one loop per distinct (order, f, b, d, reference shape); the network,
         # u_limit, weight_cap and record_weights are runtime checks. Besides
-        # the loops, only each disturbance text is compiled (text and function)
+        # the loops and the basis, only each disturbance text is compiled
+        # (text and function)
         setups = sweep_grid_setups()
-        for cache in (simulation._loop_code, simulation._interval_code, controller._law_code, plants._expression_code):
+        caches = (simulation._loop_code, simulation._interval_code, controller._law_code, plants._expression_code)
+        for cache in (*caches, rbf._basis_code):
             cache.cache_clear()
         compiled = []
         real = builtins.compile
@@ -487,7 +489,11 @@ class TestGeneratedLoop:
         keys = {(s.truth.order, s.truth.f_eval.text, s.truth.b_eval.text, s.dist.kind, len(s.ref._terms)) for s in setups}
         loops = [name for name in compiled if name.startswith("<neurofl loop n=2 m=1 #")]
         assert len(loops) == len(keys) == 12
-        assert len(compiled) - len(loops) == 2 * len({s.dist.kind for s in setups}) == 8
+        # every compensated run has 7 neurons: one basis
+        bases = [name for name in compiled if name.startswith("<neurofl basis m=")]
+        assert {s.ctrl.network.neuron_count for s in setups if s.ctrl.network} == {7}
+        assert len(bases) == 1 and bases[0].startswith("<neurofl basis m=7 #")
+        assert len(compiled) - len(loops) - len(bases) == 2 * len({s.dist.kind for s in setups}) == 8
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_each_loop_stays_under_the_statement_budget(self, order):
@@ -1110,6 +1116,21 @@ class TestIdealDisturbancePlant:
             d = float(np.dot(target.weights, activations(target, s)))
             got = truth.f_eval(x, t)
             assert got == pytest.approx(base.f_eval(x, t) + d, rel=1e-12)
+
+    def test_binds_the_basis_once_per_plant(self, monkeypatch):
+        # f_eval runs at every RK4 stage; the basis is bound with the plant
+        binds = []
+        real = simulation._bind_basis
+        monkeypatch.setattr(simulation, "_bind_basis", lambda net: binds.append(net) or real(net))
+        target = dataclasses.replace(default_network(65, 1.0, 5.0), weights=np.linspace(-0.3, 0.3, 65))
+        ref = constant_reference(0.0, 2)
+        truth = ideal_disturbance_plant(pendulum_plant(), target, ref, 2.0)
+        states = [StateVector([0.1 * k, -0.05]) for k in range(10)]
+        values = [truth.f_eval(x, 0.0) for x in states]
+        assert binds == [target]
+        for x, value in zip(states, values):
+            s = filtered_error(tracking_error(x, reference_at(ref, 0.0)[0]), 2.0)
+            assert value == pendulum_plant().f_eval(x, 0.0) + float(np.dot(target.weights, activations(target, s)))
 
     def test_order_must_match(self):
         base = pendulum_plant()
