@@ -35,7 +35,6 @@ from .simulation import (
     Trajectory,
     compute_metrics,
     constant_reference,
-    ideal_disturbance_plant,
     reference_at,
     rk4_step,
     run_closed_loop,

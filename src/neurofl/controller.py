@@ -83,51 +83,65 @@ def _network_step(net: RbfNetwork, basis, w: np.ndarray, s: float, dt_ctrl: floa
 # (the call fill). The network's step is a call: written out, it would
 # double the statements each loop compiles. The last check catches a
 # non-finite u before the plant's own arithmetic (math.sin, say) fails on it
-# in the interval. A TypeError is a divergence when _fv or _bv is complex (a
-# fractional power of a negative number, say), so the function that runs
-# the block binds both, as 0.0, before its first sample. The block leaves
-# _u, _s, _dhat, _wnorm, the adapted weights _w and the event _ev.
+# in the interval. The block has no handler: the function that runs it
+# passes any error to _as_fault, with _fv and _bv, which it binds as 0.0
+# before its first sample. The block leaves _u, _s, _dhat, _wnorm, the
+# adapted weights _w and the event _ev.
 _LAW = """\
-try:
-    {nominal}
-    {errors}
-    _s = _float(_s_dot(_xtv))
-    _dhat, _wnorm, _w, _ev = (0.0, 0.0, _w, "") if _net is None else _network_step(_net, _basis, _w, _s, _dt, t)
-    _u = (-_fv + _xd{n} - _float(_k_dot(_xtv)) - _dhat) / _bv
-    if _ulim is not None and abs(_u) > _ulim:
-        _u = _copysign(_ulim, _u)
-        _ev = "{saturation}" if _ev == "" else "{saturation};" + _ev
-    if not _isfinite(_u):
-        raise _DivergenceFault("control input u=%s is not finite at t=%.6g" % (_u, t))
-except TypeError as _exc:
-    _complex_fault(_exc, (_fv, _bv), t)
+{nominal}
+{errors}
+_s = _float(_s_dot(_xtv))
+_dhat, _wnorm, _w, _ev = (0.0, 0.0, _w, "") if _net is None else _network_step(_net, _basis, _w, _s, _dt, t)
+_u = (-_fv + _xd{n} - _float(_k_dot(_xtv)) - _dhat) / _bv
+if _ulim is not None and abs(_u) > _ulim:
+    _u = _copysign(_ulim, _u)
+    _ev = "{saturation}" if _ev == "" else "{saturation};" + _ev
+if not _isfinite(_u):
+    raise _DivergenceFault("control input u=%s is not finite at t=%.6g" % (_u, t))
 """
-# the call fill: f and b called on the state as a new array, as floats;
-# each raw value is bound first, so the handler sees a complex one that
-# float() rejects
+# the call fill: f and b called on the state as a tuple of floats, as the
+# interval's stages call them, and taken as floats; each raw value is bound
+# first, so that _as_fault sees a complex one that float() rejects
 _CALLED = """\
-_xv = _array(({xs},))
+_xv = ({xs},)
 _fv, _bv = _float(_fv := _nf(_xv, t)), _float(_bv := _nb(_xv, t))
 if abs(_bv) < _nbmin:
     raise _ControllabilityFault("|b|=%.3g below guard %.3g" % (abs(_bv), _nbmin), state=_xv, t=t)"""
 
 
-def _complex_fault(exc: TypeError, nominal: tuple, t: float):
-    """Raise what a TypeError in the control law means: a complex nominal f
-    or b, which makes u complex where numpy scalars would give NaN, is a
-    divergence; any other TypeError propagates."""
-    if any(isinstance(v, complex) for v in nominal):
-        raise DivergenceFault(f"control input u is complex at t={t:.6g}") from exc
-    raise exc
+def _as_fault(exc: Exception, t: float, ts: float | None, nominal: tuple, stage: tuple) -> Exception:
+    """The fault that an error in a run's generated arithmetic means, raised
+    at time t in the control law (ts None), whose nominal f and b are
+    nominal, or at stage time t of the RK4 substep from ts, whose stage
+    state and start state are stage. A ControllabilityFault or
+    DivergenceFault is returned as it is. An overflow, a complex nominal term
+    or stage value, or a ValueError on a non-finite stage is returned as a
+    DivergenceFault caused by exc. Any other error is raised again."""
+    if isinstance(exc, (ControllabilityFault, DivergenceFault)):
+        return exc
+    law = ts is None
+    if isinstance(exc, OverflowError):
+        # Python floats raise where numpy scalars overflow to inf
+        message = f"control input u overflowed at t={t:.6g}" if law else f"state overflowed in the RK4 step at t={ts:.6g}"
+    elif any(isinstance(v, complex) for v in (*nominal, *stage)):
+        # a fractional power of a negative number: numpy scalars give NaN
+        message = f"control input u is complex at t={t:.6g}" if law else f"complex RK4 stage state at t={t:.6g}"
+    elif isinstance(exc, ValueError) and not all(map(math.isfinite, stage)):
+        # the plant's math on a stage that overflowed to inf (math.sin(inf))
+        message = f"non-finite RK4 stage state at t={t:.6g}"
+    else:
+        raise exc
+    fault = DivergenceFault(message)
+    fault.__cause__ = exc
+    return fault
 
 
 _LAW_GLOBALS = {
     "_float": float,
     "_copysign": math.copysign,
     "_isfinite": math.isfinite,
-    "_array": np.array,
     "_network_step": _network_step,
-    "_complex_fault": _complex_fault,
+    "_as_fault": _as_fault,
     "_DivergenceFault": DivergenceFault,
     "_ControllabilityFault": ControllabilityFault,
 }
@@ -139,7 +153,7 @@ def _law_block(n: int, f: str | None, b: str | None) -> str:
     xs = ", ".join(f"x{i}" for i in range(n))
     nominal = _CALLED.format(xs=xs) if f is None else f"_fv, _bv = ({f}), ({b})"
     errors = f"{', '.join(f'_xt[{i}]' for i in range(n))} = {', '.join(f'x{i} - _xd{i}' for i in range(n))}"
-    return _LAW.format(nominal=nominal.replace("\n", "\n    "), errors=errors, n=n, saturation=EVENT_SATURATION)
+    return _LAW.format(nominal=nominal, errors=errors, n=n, saturation=EVENT_SATURATION)
 
 
 def _bind_law(ctrl: ControllerState, plant_nominal: PlantModel, bound: dict) -> tuple:
@@ -169,7 +183,10 @@ def law(_x, _xd, t, _dt, _w):
     {xs}, = _x
     _fv = _bv = 0.0
     {xds}, = _xd
+    try:
 {law}
+    except Exception as _exc:
+        raise _as_fault(_exc, t, None, (_fv, _bv), ())
     return _u, _s, _dhat, _wnorm, _w, _ev
 """
 
@@ -180,7 +197,7 @@ def _law_code(n: int, f: str | None, b: str | None):
     source = _STEP.format(
         xs=", ".join(f"x{i}" for i in range(n)),
         xds=", ".join(f"_xd{i}" for i in range(n + 1)),
-        law=textwrap.indent(_law_block(n, f, b).rstrip(), "    "),
+        law=textwrap.indent(_law_block(n, f, b).rstrip(), " " * 8),
     )
     return _function_code(source, f"law n={n}")
 

@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerState, _bind_law, _law_block
+from .controller import ControllerState, _as_fault, _bind_law, _law_block
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .controller import control_step  # noqa: F401
-from .dynamics import GainVector, StateVector
+from .dynamics import StateVector
 from .errors import ControllabilityFault, DivergenceFault
 from .plants import DisturbanceSpec, PlantModel, _function_code, _inline, _inline_plant, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
-from .rbf import RbfNetwork, _bind_basis, _check_leakage_step
+from .rbf import _check_leakage_step
 
 __all__ = [
     "ReferenceSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "rk4_step",
     "run_closed_loop",
     "compute_metrics",
-    "ideal_disturbance_plant",
 ]
 
 # A state magnitude past this is treated as divergence even while still finite.
@@ -235,48 +234,28 @@ def _plant_deriv(plant: PlantModel, u: float, d):
 # One RK4 interval of the truth plant with _u held, on float locals: _rk4's
 # operations in _rk4's order on the companion form, whose stage derivative is
 # [x1, ..., x(n-1), a]. {accel} is a at the stage state x0, ... and time t.
-# It advances _y0, ... from _t0 by _dt in _substeps steps of _h. Compiling
-# takes memory in proportion to the statements, hence the tuple assignments.
+# It advances _y0, ... from _t0 by _dt in _substeps steps of _h, each from
+# _ts. The block has no handler: the function that runs it passes any error
+# to controller._as_fault with the stage state and time. Compiling takes
+# memory in proportion to the statements, hence the tuple assignments.
 _INTERVAL = """\
-try:
-    {prologue}
-    for _j in range(_substeps):
-        t = _ts = _t0 + _j * _h
-        {xs}, = {ys},
-        _a1 = {accel}
-        {stage2}
-        _a2 = {accel}
-        {stage3}
-        _a3 = {accel}
-        {stage4}
-        _a4 = {accel}
-        {update}
-        if not ({finite}):
-            raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
-except (ValueError, OverflowError, TypeError) as _exc:
-    _stage_fault(_exc, ({xs}, {ys}), t, _ts)
+{prologue}
+for _j in range(_substeps):
+    t = _ts = _t0 + _j * _h
+    {xs}, = {ys},
+    _a1 = {accel}
+    {stage2}
+    _a2 = {accel}
+    {stage3}
+    _a3 = {accel}
+    {stage4}
+    _a4 = {accel}
+    {update}
+    if not ({finite}):
+        raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
 if {beyond}:
     raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
 """
-
-
-def _stage_fault(exc: Exception, stage: tuple, t: float, ts: float):
-    """Raise what an error in an RK4 interval's arithmetic means, given the
-    values of the stage at time t of the substep from ts (its state and the
-    substep's start state): an overflow, a complex value (a fractional power
-    of a negative number, say) or a ValueError on a non-finite value is a
-    divergence; any other TypeError or ValueError propagates."""
-    if isinstance(exc, OverflowError):
-        # Python floats raise where numpy scalars overflow to inf
-        raise DivergenceFault(f"state overflowed in the RK4 step at t={ts:.6g}") from exc
-    if any(isinstance(v, complex) for v in stage):
-        # Python floats give a complex number where numpy scalars give NaN
-        raise DivergenceFault(f"complex RK4 stage state at t={t:.6g}") from exc
-    if isinstance(exc, TypeError) or all(map(math.isfinite, stage)):
-        raise exc
-    # whatever the plant's math makes of a stage state that overflowed to
-    # inf (math.sin(inf) raises ValueError)
-    raise DivergenceFault(f"non-finite RK4 stage state at t={t:.6g}") from exc
 
 
 def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
@@ -314,8 +293,9 @@ def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
 # One run: for each sample k, the reference derivatives _xd0, ..., _xd{n}
 # at t = k*dt as _reference_values sums them, the records of t, the state,
 # the reference and d(t), the control law, and the interval to the next
-# sample. The law's nominal terms _fv and _bv start at 0.0 (see
-# controller._LAW). Returns the samples recorded and the terminal event.
+# sample. The law's nominal terms _fv and _bv start at 0.0, and _ts is None
+# until the interval sets it: the handler passes both to
+# controller._as_fault. Returns the samples recorded and the terminal event.
 _LOOP = """\
 def loop(_y, _steps, _dt, _substeps, _w, _records):
     _tr, _xr, _xdr, _dtr, _ur, _sr, _dhr, _wnr, _events, _wh = _records
@@ -326,21 +306,18 @@ def loop(_y, _steps, _dt, _substeps, _w, _records):
         t = _t0 = _k * _dt
         {reference}
         _i = _k * {n}
-        _tr[_k], {xr}, {xdr}, _dtr[_k] = t, {ys}, {xds}, {d}
+        _tr[_k], {xr}, {xdr}, _dtr[_k], _ts = t, {ys}, {xds}, {d}, None
         if _wh is not None:
             _wh[_k] = _w
         {xs}, = {ys},
         try:
 {law}
-        except _FAULTS as _exc:
-            return _fault(_exc, _records, _k, True)
-        _ur[_k], _sr[_k], _dhr[_k], _wnr[_k], _events[_k] = _u, _s, _dhat, _wnorm, _ev
-        if _k == _steps:
-            return _k + 1, None
-        try:
+            _ur[_k], _sr[_k], _dhr[_k], _wnr[_k], _events[_k] = _u, _s, _dhat, _wnorm, _ev
+            if _k == _steps:
+                return _k + 1, None
 {interval}
-        except _FAULTS as _exc:
-            return _fault(_exc, _records, _k, False)
+        except Exception as _exc:
+            return _end(_as_fault(_exc, t, _ts, (_fv, _bv), ({xs}, {ys})), _records, _k)
 """
 # the interval alone, as a function: its test entry, integrate_interval
 _INTERVAL_ENTRY = """\
@@ -349,19 +326,20 @@ def interval(_y, _u, _t0, _dt, _substeps):
     t = _ts = _t0
     _h = _dt / _substeps
     _half, _sixth = 0.5 * _h, _h / 6.0
+    try:
 {interval}
+    except Exception as _exc:
+        raise _as_fault(_exc, t, _ts, (), ({xs}, {ys}))
     return {ys},
 """
 
 
-def _fault(exc: Exception, records: tuple, k: int, in_law: bool) -> tuple:
+def _end(fault: Exception, records: tuple, k: int) -> tuple:
     """End the run at sample k on a fault in its control law, which leaves u,
-    s, d_hat and w_norm NaN, or in the interval after it; the terminal event
-    is appended to the sample's events. Returns (samples, terminal event)."""
-    terminal = EVENT_CONTROLLABILITY if isinstance(exc, ControllabilityFault) else EVENT_DIVERGENCE
-    if in_law:
-        for column in records[4:8]:
-            column[k] = math.nan
+    s, d_hat and w_norm as allocated, NaN, or in the interval after it; the
+    terminal event is appended to the sample's events. Returns (samples,
+    terminal event)."""
+    terminal = EVENT_CONTROLLABILITY if isinstance(fault, ControllabilityFault) else EVENT_DIVERGENCE
     events = records[8]
     events[k] = terminal if events[k] == "" else f"{events[k]};{terminal}"
     return k + 1, terminal
@@ -372,9 +350,8 @@ _TEMPLATE_GLOBALS = {
     "_sin": math.sin,
     "_LIMIT": DIVERGENCE_LIMIT,
     "_DivergenceFault": DivergenceFault,
-    "_FAULTS": (ControllabilityFault, DivergenceFault),
-    "_fault": _fault,
-    "_stage_fault": _stage_fault,
+    "_as_fault": _as_fault,
+    "_end": _end,
 }
 
 
@@ -421,7 +398,7 @@ def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
     source = _INTERVAL_ENTRY.format(
         xs=", ".join(f"x{i}" for i in range(n)),
         ys=", ".join(f"_y{i}" for i in range(n)),
-        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 4),
+        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 8),
     )
     return _function_code(source, f"interval n={n}")
 
@@ -558,7 +535,9 @@ def run_closed_loop(
     d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
     loop = _bound_loop(truth, nominal, ctrl, ref, d)
 
-    t_arr, dtrue_arr, u_arr, s_arr, dhat_arr, wnorm_arr = (np.empty(count) for _ in range(6))
+    # a fault in the control law leaves its sample's u, s, d_hat and w_norm NaN
+    t_arr, dtrue_arr = np.empty(count), np.empty(count)
+    u_arr, s_arr, dhat_arr, wnorm_arr = (np.full(count, math.nan) for _ in range(4))
     x_arr, xd_arr = np.empty((count, n)), np.empty((count, n))
     events: list = [""] * count
     w_hist = None
@@ -615,41 +594,4 @@ def compute_metrics(traj: Trajectory) -> Metrics:
         steady_state_error=sse,
         max_abs_u=max_u,
         bounded=bounded,
-    )
-
-
-def ideal_disturbance_plant(
-    base: PlantModel, target: RbfNetwork, ref: ReferenceSpec, lam: float
-) -> PlantModel:
-    """Truth plant whose extra forcing is the target network's output at the
-    instantaneous combined error: d = sum_i w*_i phi_i(s(x, t)).
-
-    The resulting disturbance lies exactly in the compensator's span when the
-    compensator shares the target's centers and widths, which makes adaptation
-    descent exact up to discretization.
-    """
-    if ref.order != base.order:
-        raise ValueError("reference order must equal plant order")
-    filt = GainVector(lam, base.order).filter_weights
-    w_target = target.weights
-    basis = _bind_basis(target)
-    base_f = base.f_eval
-    if not ref.components:
-        xd_const = _reference_values(ref, 0.0)[0]
-        ref_vals = lambda t: xd_const
-    else:
-        ref_vals = lambda t: _reference_values(ref, t)[0]
-
-    def f_with_net(x, t):
-        vals = x.values if isinstance(x, StateVector) else x
-        s = float(np.dot(filt, vals - ref_vals(t)))
-        return base_f(x, t) + float(np.dot(w_target, basis(s)))
-
-    return PlantModel(
-        order=base.order,
-        f_eval=f_with_net,
-        b_eval=base.b_eval,
-        b_min=base.b_min,
-        name=f"{base.name}+rbf_disturbance",
-        params=dict(base.params),
     )

@@ -15,6 +15,8 @@ import numpy as np
 import neurofl as nf
 from neurofl.cli import main as cli_main
 
+from ideal_plant import ideal_disturbance_plant
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -146,7 +148,7 @@ def test_c5_adaptation_energy_descent():
     net = nf.default_network(11, 1.0, eta)
     rng = np.random.default_rng(42)
     target = replace(net, weights=rng.uniform(-0.5, 0.5, net.neuron_count))
-    truth = nf.ideal_disturbance_plant(plant, target, ref, lam)
+    truth = ideal_disturbance_plant(plant, target, ref, lam)
     ctrl = nf.ControllerState(gains=nf.GainVector(lam, 2), network=net)
     traj = nf.run_closed_loop(
         truth, plant, ctrl, ref, nf.no_disturbance(), lam, 10.0, dt, 1,

@@ -7,7 +7,7 @@ import pytest
 from neurofl.controller import ControllerState, control_step
 from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
-from neurofl.plants import PlantModel, no_disturbance, pendulum_plant
+from neurofl.plants import Expression, PlantModel, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
 from neurofl.simulation import run_closed_loop, sinusoid_reference
 
@@ -20,6 +20,11 @@ def one_neuron_net(weight, eta=1.0, kappa=0.0):
         learning_rate=eta,
         leakage=kappa,
     )
+
+
+def closure(term):
+    """term in a plain function, which the law calls instead of inlining."""
+    return lambda x, t: term(x, t)
 
 
 def baseline_ctrl(n=2, lam=2.0, u_limit=None):
@@ -256,6 +261,53 @@ class TestControlStep:
             control_step(baseline_ctrl(), weak, x, StateVector([0.0, 0.0]), 0.0, 0.25, 1e-3)
         assert exc.value.state is x
         assert exc.value.t == 0.25
+
+    @pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+    def test_nominal_overflow_is_divergence_caused_by_it(self, called):
+        # exp(800) raises OverflowError on a Python float
+        f, b = Expression("-x0 + 1e-3 * exp(x1)", {"exp": math.exp}), Expression("1.0")
+        if called:
+            f, b = closure(f), closure(b)
+        plant = PlantModel(order=2, f_eval=f, b_eval=b, b_min=0.5, name="overflowing")
+        with pytest.raises(DivergenceFault, match="^control input u overflowed at t=0.5$") as exc:
+            control_step(baseline_ctrl(), plant, StateVector([0.0, 800.0]), StateVector([0.0, 0.0]), 0.0, 0.5, 1e-3)
+        assert isinstance(exc.value.__cause__, OverflowError)
+        assert str(exc.value.__cause__) == "math range error"
+
+
+def probe_plant(calls):
+    """An order-2 plant whose f and b record the type of each state they get
+    and of its entries, with the time."""
+
+    def probe(term):
+        def called(x, t):
+            calls.append((type(x), [type(v) for v in x], t))
+            return term(x, t)
+
+        return called
+
+    f = probe(lambda x, t: -x[0] - 0.5 * x[1])
+    b = probe(lambda x, t: 1.0 + 0.1 * math.sin(x[0]))
+    return PlantModel(order=2, f_eval=f, b_eval=b, b_min=0.5, name="probe")
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+def test_called_terms_get_a_tuple_of_floats_at_every_sample_and_stage(mode):
+    calls = []
+    plant = probe_plant(calls)
+    net = default_network(7, 1.0, 10.0) if mode == "compensated" else None
+    ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
+    ref = sinusoid_reference(0.5, 1.0, 0.0, 2)
+    traj = run_closed_loop(plant, plant, ctrl, ref, no_disturbance(), 2.0, 0.05, 1e-2, 2, x0=[0.2, -0.1])
+    assert traj.terminal_event is None
+    # f and b at 6 samples and at 4 stages of 2 substeps in each of 5 intervals
+    assert len(calls) == 2 * (6 + 5 * 2 * 4)
+    sample_times = {k * 1e-2 for k in range(6)}
+    assert sample_times < {t for _, _, t in calls}
+    for x in (StateVector([0.2, -0.1]), np.array([0.2, -0.1]), np.array([0.2, -0.1], dtype=np.float32)):
+        control_step(ctrl, plant, x, np.array([0.0, 0.5]), -0.5, 0.3, 1e-2)
+    assert len(calls) == 2 * (6 + 5 * 2 * 4) + 2 * 3
+    assert all(kind is tuple and entries == [float, float] for kind, entries, _ in calls)
 
 
 class TestClosedLoopResiduals:

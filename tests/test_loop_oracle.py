@@ -62,8 +62,12 @@ def frozen_control_law(ctrl, nominal, x, x_d, xd_n, t, dt_ctrl, w):
     """The sampled control law on arrays, as control_step computed it with its
     own basis evaluation and adaptation step: (u, s, d_hat, w_norm, the
     adapted weights, event)."""
-    f_val = nominal.f_eval(x, t)
-    b_val = nominal.b_eval(x, t)
+    try:
+        f_val = nominal.f_eval(x, t)
+        b_val = nominal.b_eval(x, t)
+    except OverflowError as exc:
+        # math.exp raises on a numpy scalar as on a Python float
+        raise DivergenceFault("the nominal model overflowed") from exc
     if abs(b_val) < nominal.b_min:
         raise ControllabilityFault("b below guard", state=x, t=t)
     events = []
@@ -406,7 +410,7 @@ def fill(plant, called):
 # fault -> (truth f, truth params, nominal f, nominal params, controller
 # keywords, reference level, x0 entry (or one per order), substeps, expected
 # terminal event).
-# None takes the order's EXPRESSION_F. The first six raise in the control
+# None takes the order's EXPRESSION_F. The first seven raise in the control
 # law, the rest in the interval. A fractional power of a negative state
 # entry is complex on Python floats, where the oracle's numpy scalars give
 # NaN; the reference level drives that entry negative.
@@ -416,6 +420,7 @@ RAISE_SITES = {
     "adaptation-gain": (None, {}, None, {}, {"mode": COMPENSATED, "eta": 1e300}, 0.0, 1e9, 1, EVENT_DIVERGENCE),
     "non-finite-u": (None, {}, "k * x0", {"k": math.inf}, {}, 0.0, 0.3, 1, EVENT_DIVERGENCE),
     "complex-nominal-term": (None, {}, "-x0 - k * x{last} ** 0.5", {"k": 0.1}, {}, -0.5, 0.3, 1, EVENT_DIVERGENCE),
+    "nominal-overflow": (None, {}, "-x0 + 1e-3 * exp(x{last})", {"exp": math.exp}, {}, 0.0, 800.0, 1, EVENT_DIVERGENCE),
     "saturation-and-weight-cap": (
         None, {}, None, {}, {"mode": COMPENSATED, "lam": 4.0, "u_limit": 0.5, "weight_cap": 1e-3},
         0.0, {1: 0.3, 2: 0.15, 3: 0.05}, 1, None,
@@ -456,6 +461,7 @@ def assert_raise_site_matches_oracle(site, order, called, neurons=9):
     else:
         assert traj.terminal_event == event
         assert traj.terminal_t == traj.t[-1] and traj.event[-1].endswith(event)
+    return traj
 
 
 # the oracle's numpy arithmetic overflows with a warning where the loop's
@@ -475,6 +481,16 @@ def assert_raise_site_matches_oracle(site, order, called, neurons=9):
 )
 def test_every_raise_site_matches_oracle_on_both_fills(site, order, called):
     assert_raise_site_matches_oracle(site, order, called)
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["inlined", "called"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_nominal_overflow_is_a_divergence_at_its_sample(order, called):
+    # exp(800) raises OverflowError in the law's nominal f at t = 0, which
+    # leaves no input applied
+    traj = assert_raise_site_matches_oracle("nominal-overflow", order, called)
+    assert traj.t.tolist() == [0.0] and traj.event == [EVENT_DIVERGENCE]
+    assert all(math.isnan(getattr(traj, name)[0]) for name in ("u", "s", "d_hat", "w_norm"))
 
 
 # 65 neurons: the basis runs as a block of 64 and a block of 1

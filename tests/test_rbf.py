@@ -405,7 +405,8 @@ def test_ideal_representation_descent():
     energy V = s^2/2 + |w - w*|^2/(2 eta) must not grow between samples beyond
     the per-step discretization tolerance."""
     from neurofl.plants import no_disturbance, pendulum_plant
-    from neurofl.simulation import constant_reference, ideal_disturbance_plant, run_closed_loop
+    from ideal_plant import ideal_disturbance_plant
+    from neurofl.simulation import constant_reference, run_closed_loop
 
     lam = 2.0
     dt = 1e-3

@@ -39,7 +39,6 @@ from neurofl.simulation import (
     _rk4,
     compute_metrics,
     constant_reference,
-    ideal_disturbance_plant,
     integrate_interval,
     reference_at,
     rk4_step,
@@ -47,6 +46,9 @@ from neurofl.simulation import (
     sinusoid_reference,
     sum_of_sinusoids_reference,
 )
+
+import ideal_plant
+from ideal_plant import ideal_disturbance_plant
 
 # frozen oracle: e^0.1 evaluated independently; one RK4 step with dt = 0.1 on
 # dy/dt = y lands within its local truncation error of it
@@ -421,7 +423,7 @@ class TestPlantsAsDataInRuns:
 
 # statements in any generated loop (ast.stmt nodes, its def included):
 # compiling takes memory and time in proportion to them
-MAX_LOOP_STATEMENTS = 55
+MAX_LOOP_STATEMENTS = 48
 
 
 def sweep_grid_setups():
@@ -1120,8 +1122,8 @@ class TestIdealDisturbancePlant:
     def test_binds_the_basis_once_per_plant(self, monkeypatch):
         # f_eval runs at every RK4 stage; the basis is bound with the plant
         binds = []
-        real = simulation._bind_basis
-        monkeypatch.setattr(simulation, "_bind_basis", lambda net: binds.append(net) or real(net))
+        real = ideal_plant._bind_basis
+        monkeypatch.setattr(ideal_plant, "_bind_basis", lambda net: binds.append(net) or real(net))
         target = dataclasses.replace(default_network(65, 1.0, 5.0), weights=np.linspace(-0.3, 0.3, 65))
         ref = constant_reference(0.0, 2)
         truth = ideal_disturbance_plant(pendulum_plant(), target, ref, 2.0)
