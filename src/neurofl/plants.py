@@ -13,6 +13,7 @@ import functools
 import itertools
 import linecache
 import math
+import operator
 import sys
 import types
 from dataclasses import dataclass, field
@@ -232,6 +233,8 @@ class DisturbanceSpec:
                 raise ValueError("sample_dt: must be > 0 for noise")
             if self.amplitude < 0.0:
                 raise ValueError("amplitude: must be >= 0 for noise")
+            if not math.isfinite(self.amplitude - -self.amplitude):
+                raise ValueError("amplitude: the drive's range 2*amplitude must be finite for noise")
             if self.seed < 0:
                 raise ValueError("seed: must be >= 0 for noise")
 
@@ -312,19 +315,80 @@ def _noise_sample_count(spec: DisturbanceSpec, t_end: float) -> int:
     return math.floor(ratio) + 1
 
 
+# numpy's SeedSequence hash constants and PCG64 multiplier (numpy/random/bit_generator.pyx, pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(hash_const: int, mult: int):
+    """numpy's SeedSequence hashmix: each call hashes a 32-bit word with the
+    next of the hash constants hash_const, hash_const*mult, ..."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as ints: the
+    seed's little-endian 32-bit words mixed into a pool of four, hashed out
+    as eight words and paired low word first."""
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y & _M32
+        return result ^ result >> 16
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(value) for value in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    words = [hashmix(value) for value in pool + pool]
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _uniform_draws(seed: int, low: float, high: float):
+    """The floats of numpy's default_rng(seed).uniform(low, high) stream, one
+    per draw, without end: PCG64 (the XSL-RR output of a 128-bit LCG) seeded
+    through SeedSequence, each draw low + (high - low) * ((out >> 11) *
+    2**-53) in numpy's operation order. The bits are those of numpy's
+    generator, and do not depend on the numpy installed."""
+    s0, s1, s2, s3 = _seed_sequence_state(operator.index(seed))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = (inc + (s0 << 64 | s1)) * _PCG64_MULT + inc & _M128
+    span = high - low
+    while True:
+        state = state * _PCG64_MULT + inc & _M128
+        word = state >> 64 ^ state & _M64
+        # rotr64(word, state >> 122), then its top 53 bits
+        yield low + span * (((word << 64 | word) >> (state >> 122) + 11 & _M53) * 2**-53)
+
+
 def _noise_series(spec: DisturbanceSpec, count: int) -> np.ndarray:
     """Filtered noise samples 0..count-1; regenerating a longer prefix from the
     same seed reproduces the shorter one exactly."""
-    rng = np.random.default_rng(spec.seed)
-    drive = rng.uniform(-spec.amplitude, spec.amplitude, size=count)
     beta = 1.0 - math.exp(-2.0 * math.pi * spec.cutoff_hz * spec.sample_dt)
 
-    # The filter runs on Python floats streamed from and into arrays: the same
-    # IEEE operations as on numpy scalars at a third of the time, with no
-    # per-sample list held in memory.
+    # The uniform drive and the filter run on Python floats streamed into one
+    # array, the only per-sample memory the series takes.
     def levels():
         level = 0.0
-        for v in memoryview(drive):
+        for v in itertools.islice(_uniform_draws(spec.seed, -spec.amplitude, spec.amplitude), count):
             level += beta * (v - level)
             yield level
 

@@ -87,7 +87,8 @@ def basis(s):
 @functools.cache
 def _basis_code(k: int):
     """The compiled basis of k <= BASIS_TERMS neurons."""
-    terms = ", ".join(f"_exp((s - _c{i}) ** 2 / _nv{i})" for i in range(k))
+    # ** 2.0: the bits and the OverflowError of ** 2, with no int exponent to convert per call
+    terms = ", ".join(f"_exp((s - _c{i}) ** 2.0 / _nv{i})" for i in range(k))
     return _function_code(_BASIS.format(terms=terms), f"basis m={k}")
 
 

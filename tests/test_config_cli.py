@@ -122,6 +122,8 @@ VALUE_RULES = [
         "plants._noise_sample_count",
         {"disturbance": {**NOISE, "sample_dt": 1e-300}, "simulation": {"T": 1.0, "dt_ctrl": 0.01}},
     ),
+    # the drive's range 2*amplitude overflows: numpy raised a bare OverflowError
+    ("disturbance.amplitude", "plants.DisturbanceSpec", {"disturbance": {**NOISE, "amplitude": 1e308, "bound": 1e308}}),
 ]
 
 # Where each ExperimentConfig field sits in the JSON.
@@ -933,6 +935,16 @@ class TestCmdSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
         assert "disturbance.sample_dt: " in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_noise_drive_range_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # numpy's uniform(-a, a) raised OverflowError, and the CLI exited 1
+        cfg = json.loads((GOLDEN / "golden_config.json").read_text())
+        cfg["disturbance"] = {"kind": "band-limited-noise", "amplitude": 1e308, "bound": 1e308, "cutoff_hz": 2, "seed": 1}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "disturbance.amplitude: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):

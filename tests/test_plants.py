@@ -1,4 +1,10 @@
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,3 +406,72 @@ class TestDisturbances:
         # would fail in math.sin in the middle of a run
         with pytest.raises(ValueError, match=rf"^{key}: must be finite$"):
             build(value)
+
+
+# SeedSequence splits a seed into 32-bit words: seeds at and past word boundaries, and
+# 20 derandomized seeds of 3 to 250 bits
+DRIVE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5] + [
+    random.Random(seed).getrandbits(bits) for seed, bits in enumerate(range(3, 260, 13))
+]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestNoiseDrive:
+    """The noise's uniform drive is numpy's PCG64 default_rng(seed).uniform
+    stream, reproduced without numpy.random, which a run never imports."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 5e-324, 0.3, 4e307])
+    @pytest.mark.parametrize("seed", DRIVE_SEEDS)
+    def test_drive_matches_numpy_generator_bitwise(self, seed, amplitude):
+        for n in (0, 1, 4096):
+            expected = np.random.default_rng(seed).uniform(-amplitude, amplitude, size=n)
+            got = np.array(list(itertools.islice(plants._uniform_draws(seed, -amplitude, amplitude), n)), dtype=float)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_drive_range_beyond_the_float_range_is_rejected(self):
+        # numpy's uniform(-a, a) raised OverflowError, the owned stream would give NaN
+        widest = sys.float_info.max / 2.0
+        with pytest.raises(ValueError, match=r"^amplitude: the drive's range 2\*amplitude must be finite"):
+            noise_disturbance(math.nextafter(widest, math.inf), cutoff_hz=2.0)
+        series = _noise_series(noise_disturbance(widest, cutoff_hz=2.0, seed=1), 200)
+        assert np.all(np.isfinite(series)) and np.all(np.abs(series) <= widest)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "from neurofl.cli import main\n"
+            "assert main(['simulate', '--config', sys.argv[1], '--out-dir', sys.argv[2]]) == 0\n",
+            "from neurofl.config import build_experiment, load_config\n"
+            "from neurofl.simulation import run_closed_loop\n"
+            "s = build_experiment(load_config(sys.argv[1]))\n"
+            "traj = run_closed_loop(s.truth, s.nominal, s.ctrl, s.ref, s.dist, s.lam, s.T, s.dt_ctrl, s.substeps, s.x0)\n"
+            "assert len(set(traj.d_true)) > 10\n",
+        ],
+        ids=["cli-simulate", "library-run"],
+    )
+    def test_noise_run_does_not_import_numpy_random(self, tmp_path, script):
+        config = tmp_path / "noise.json"
+        config.write_text(
+            '{"plant": {"name": "pendulum"}, "disturbance": {"kind": "band-limited-noise", "amplitude": 0.5, '
+            '"cutoff_hz": 5.0, "seed": 3}, "controller": {"mode": "compensated"}, '
+            '"simulation": {"T": 0.5, "dt_ctrl": 0.01}}',
+            encoding="utf-8",
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        check = "import sys\n" + script + "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", check, str(config), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_no_source_names_numpy_random(self):
+        sources = sorted(SRC.rglob("*.py"))
+        assert sources
+        for path in sources:
+            text = path.read_text(encoding="utf-8")
+            assert "np.random" not in text and "numpy.random" not in text, path
