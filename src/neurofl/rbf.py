@@ -7,17 +7,13 @@ and widths are fixed at construction.
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
-import types
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceFault
-from .plants import _function_code
+from .generated import bind_basis
 
 __all__ = [
     "RbfNetwork",
@@ -65,66 +61,10 @@ class RbfNetwork:
         return self.centers.size
 
 
-# the most terms one compiled basis holds; a wider network is evaluated a
-# block at a time through the same code: compiling takes time and memory in
-# proportion to the terms (1,000 in one function took 12.6 ms and 5.2 MB)
-BASIS_TERMS = 64
-
-# k basis responses as straight-line code on Python floats, packed into the
-# bound buffer _phi at byte offset _off: phi_i(s) = exp((s - c_i)**2 / nv_i)
-# with nv_i = -2 sigma_i^2, which rounds as exp(-((s - c_i)**2) / (2 sigma_i^2))
-# does, since IEEE division is sign-symmetric. Python floats on purpose: for
-# a 61-neuron network and s swept over [-3, 3], array squaring (x*x) differed
-# from pow(x, 2) on 0.08% of the inputs, and np.exp differed from math.exp in
-# the last bit on 1.9% of the exponents (4.9% of uniformly drawn ones).
-_BASIS = """\
-def basis(s):
-    _pack(_phi, _off, {terms})
-    return _view
-"""
-
-
-@functools.cache
-def _basis_code(k: int):
-    """The compiled basis of k <= BASIS_TERMS neurons."""
-    # ** 2.0: the bits and the OverflowError of ** 2, with no int exponent to convert per call
-    terms = ", ".join(f"_exp((s - _c{i}) ** 2.0 / _nv{i})" for i in range(k))
-    return _function_code(_BASIS.format(terms=terms), f"basis m={k}")
-
-
-def _bind_basis(net: RbfNetwork):
-    """basis(s): the responses phi_i(s) of net written into one buffer per
-    binding and returned as a float64 view of it, which the next call
-    overwrites. It raises OverflowError where (s - mu_i)**2 overflows. The
-    centers and -2 sigma^2 are the code's globals; each binding has its own
-    buffer, so no two runs share one."""
-    centers = net.centers.tolist()
-    neg_two_var = [-(2.0 * sigma * sigma) for sigma in net.widths.tolist()]
-    phi = array("d", bytes(8 * len(centers)))
-    view = np.frombuffer(phi)
-    blocks = []
-    for start in range(0, len(centers), BASIS_TERMS):
-        c, nv = centers[start : start + BASIS_TERMS], neg_two_var[start : start + BASIS_TERMS]
-        pack = struct.Struct(f"{len(c)}d").pack_into
-        bound = {"_exp": math.exp, "_pack": pack, "_phi": phi, "_off": 8 * start, "_view": view}
-        bound.update({f"_c{i}": v for i, v in enumerate(c)})
-        bound.update({f"_nv{i}": v for i, v in enumerate(nv)})
-        blocks.append(types.FunctionType(_basis_code(len(c)), bound))
-    if len(blocks) == 1:
-        return blocks[0]
-
-    def basis(s):
-        for block in blocks:
-            block(s)
-        return view
-
-    return basis
-
-
 def activations(net: RbfNetwork, s: float) -> np.ndarray:
     """Basis responses phi_i(s) = exp(-(s - mu_i)^2 / (2 sigma_i^2)), each in
     [0, 1] and 1 at s = mu_i, as a new array."""
-    return _bind_basis(net)(s).copy()
+    return bind_basis(net)(s).copy()
 
 
 def _check_leakage_step(kappa: float, dt_ctrl: float) -> None:

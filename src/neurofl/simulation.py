@@ -5,21 +5,20 @@ trajectory metrics.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
-import textwrap
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerState, _as_fault, _bind_law, _law_block
+from .controller import ControllerState, network_step
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .controller import control_step  # noqa: F401
 from .dynamics import StateVector
 from .errors import ControllabilityFault, DivergenceFault
-from .plants import DisturbanceSpec, PlantModel, _function_code, _inline, _inline_plant, disturbance_sampler
+# the run's terminal events, named here for the callers of run_closed_loop
+from .generated import DIVERGENCE_LIMIT, EVENT_CONTROLLABILITY, EVENT_DIVERGENCE  # noqa: F401
+from .generated import bound_interval, bound_loop
+from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
 from .rbf import _check_leakage_step
@@ -36,12 +35,6 @@ __all__ = [
     "run_closed_loop",
     "compute_metrics",
 ]
-
-# A state magnitude past this is treated as divergence even while still finite.
-DIVERGENCE_LIMIT = 1e9
-
-EVENT_DIVERGENCE = "divergence"
-EVENT_CONTROLLABILITY = "controllability_fault"
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +204,11 @@ class Metrics:
 
 def _plant_deriv(plant: PlantModel, u: float, d):
     """accel(y, tau): the highest derivative x^(n) = f + b*u + d(tau) of the
-    companion form with u held constant, for any indexable state y. The
-    interval that calls it turns a domain error on a non-finite stage into a
-    divergence."""
+    companion form with u held constant, for any indexable state y. A numpy
+    scalar f or b is taken as the Python number it holds, so that no numpy
+    arithmetic reaches the stages: a real one as a float, as the law's call
+    fill takes it, and a complex one as a complex, which the interval's fault
+    rule makes a divergence, as it does an inlined complex term."""
     f_eval = plant.f_eval
     b_eval = plant.b_eval
     b_min = plant.b_min
@@ -226,212 +221,12 @@ def _plant_deriv(plant: PlantModel, u: float, d):
                 state=np.array(y),
                 t=tau,
             )
-        return f_eval(y, tau) + b * u + d(tau)
+        f = f_eval(y, tau)
+        f = f.item() if isinstance(f, np.generic) else f
+        b = b.item() if isinstance(b, np.generic) else b
+        return f + b * u + d(tau)
 
     return accel
-
-
-# One RK4 interval of the truth plant with _u held, on float locals: _rk4's
-# operations in _rk4's order on the companion form, whose stage derivative is
-# [x1, ..., x(n-1), a]. {accel} is a at the stage state x0, ... and time t.
-# It advances _y0, ... from _t0 by _dt in _substeps steps of _h, each from
-# _ts. The block has no handler: the function that runs it passes any error
-# to controller._as_fault with the stage state and time. Compiling takes
-# memory in proportion to the statements, hence the tuple assignments.
-_INTERVAL = """\
-{prologue}
-for _j in range(_substeps):
-    t = _ts = _t0 + _j * _h
-    {xs}, = {ys},
-    _a1 = {accel}
-    {stage2}
-    _a2 = {accel}
-    {stage3}
-    _a3 = {accel}
-    {stage4}
-    _a4 = {accel}
-    {update}
-    if not ({finite}):
-        raise _DivergenceFault("non-finite state produced at t=%.6g" % _ts)
-if {beyond}:
-    raise _DivergenceFault("state magnitude exceeded %.0e at t=%.6g" % (_LIMIT, _t0 + _dt))
-"""
-
-
-def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
-    """The interval of an order-n plant: f, a constant b (b*u formed once)
-    and d (called where None) inlined or, where f is None, _plant_deriv's
-    accel called."""
-    xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
-    if f is None:
-        accel, prologue = f"_accel(({', '.join(xs)},), t)", "_accel = _simulation._plant_deriv(_truth, _u, _d)"
-    else:
-        accel, prologue = f"({f}) + _bu + ({'_d(t)' if d is None else d})", f"_bu = ({b}) * _u"
-
-    def state(c, prev, a):
-        # y + c * (the previous stage's derivative [prev1, ..., a])
-        return [f"_y{i} + {c} * {prev}{i + 1}" for i in range(n - 1)] + [f"_y{n - 1} + {c} * {a}"]
-
-    def assign(targets, values):
-        return f"{', '.join(targets)} = {', '.join(values)}"
-
-    update = [f"_y{i} + _sixth * (_y{i + 1} + 2.0 * _p{i + 1} + 2.0 * _q{i + 1} + x{i + 1})" for i in range(n - 1)]
-    return _INTERVAL.format(
-        xs=", ".join(xs),
-        ys=", ".join(ys),
-        prologue=prologue,
-        accel=accel,
-        stage2=assign([*xs, "t"], [*state("_half", "_y", "_a1"), "_ts + _half"]),
-        stage3=assign([f"_p{i}" for i in range(1, n)] + xs, xs[1:] + state("_half", "x", "_a2")),
-        stage4=assign([f"_q{i}" for i in range(1, n)] + [*xs, "t"], xs[1:] + [*state("_h", "x", "_a3"), "_ts + _h"]),
-        update=assign(ys, update + [f"_y{n - 1} + _sixth * (_a1 + 2.0 * _a2 + 2.0 * _a3 + _a4)"]),
-        finite=" and ".join(f"_isfinite({y})" for y in ys),
-        beyond=" or ".join(f"abs({y}) > _LIMIT" for y in ys),
-    )
-
-
-# One run: for each sample k, the reference derivatives _xd0, ..., _xd{n}
-# at t = k*dt as _reference_values sums them, the records of t, the state,
-# the reference and d(t), the control law, and the interval to the next
-# sample. The law's nominal terms _fv and _bv start at 0.0, and _ts is None
-# until the interval sets it: the handler passes both to
-# controller._as_fault. Returns the samples recorded and the terminal event.
-_LOOP = """\
-def loop(_y, _steps, _dt, _substeps, _w, _records):
-    _tr, _xr, _xdr, _dtr, _ur, _sr, _dhr, _wnr, _events, _wh = _records
-    {ys}, = _y
-    _h = _dt / _substeps
-    _half, _sixth, _fv, _bv = 0.5 * _h, _h / 6.0, 0.0, 0.0
-    for _k in range(_steps + 1):
-        t = _t0 = _k * _dt
-        {reference}
-        _i = _k * {n}
-        _tr[_k], {xr}, {xdr}, _dtr[_k], _ts = t, {ys}, {xds}, {d}, None
-        if _wh is not None:
-            _wh[_k] = _w
-        {xs}, = {ys},
-        try:
-{law}
-            _ur[_k], _sr[_k], _dhr[_k], _wnr[_k], _events[_k] = _u, _s, _dhat, _wnorm, _ev
-            if _k == _steps:
-                return _k + 1, None
-{interval}
-        except Exception as _exc:
-            return _end(_as_fault(_exc, t, _ts, (_fv, _bv), ({xs}, {ys})), _records, _k)
-"""
-# the interval alone, as a function: its test entry, integrate_interval
-_INTERVAL_ENTRY = """\
-def interval(_y, _u, _t0, _dt, _substeps):
-    {ys}, = {xs}, = _y
-    t = _ts = _t0
-    _h = _dt / _substeps
-    _half, _sixth = 0.5 * _h, _h / 6.0
-    try:
-{interval}
-    except Exception as _exc:
-        raise _as_fault(_exc, t, _ts, (), ({xs}, {ys}))
-    return {ys},
-"""
-
-
-def _end(fault: Exception, records: tuple, k: int) -> tuple:
-    """End the run at sample k on a fault in its control law, which leaves u,
-    s, d_hat and w_norm as allocated, NaN, or in the interval after it; the
-    terminal event is appended to the sample's events. Returns (samples,
-    terminal event)."""
-    terminal = EVENT_CONTROLLABILITY if isinstance(fault, ControllabilityFault) else EVENT_DIVERGENCE
-    events = records[8]
-    events[k] = terminal if events[k] == "" else f"{events[k]};{terminal}"
-    return k + 1, terminal
-
-
-_TEMPLATE_GLOBALS = {
-    "_isfinite": math.isfinite,
-    "_sin": math.sin,
-    "_LIMIT": DIVERGENCE_LIMIT,
-    "_DivergenceFault": DivergenceFault,
-    "_as_fault": _as_fault,
-    "_end": _end,
-}
-
-
-def _reference_block(n: int, m: int) -> str:
-    """x_d^(k)(t) for k = 0..n of a reference with m sinusoidal components,
-    as _reference_values sums them: from the level (k = 0) or 0.0, each
-    component j's _cj_k * sin(_aj + k pi/2) added in component order."""
-    shifts = [repr(k * math.pi / 2.0) for k in range(n + 1)]
-    derivs = [
-        " + ".join(["_lvl" if k == 0 else "0.0", *(f"_c{j}_{k} * _sin(_a{j} + {shifts[k]})" for j in range(m))])
-        for k in range(n + 1)
-    ]
-    lines = [f"{', '.join(f'_xd{k}' for k in range(n + 1))} = {', '.join(derivs)}"]
-    if m:
-        lines.insert(0, f"{', '.join(f'_a{j}' for j in range(m))} = {', '.join(f'_om{j} * t + _ph{j}' for j in range(m))}")
-    return "\n".join(lines)
-
-
-@functools.cache
-def _loop_code(n: int, m: int, f: str | None, b: str | None, d: str | None, nominal_f: str | None, nominal_b: str | None):
-    """The compiled loop of an order-n run with an m-component reference:
-    the truth's f and b inlined in the interval, or called where f is None,
-    d inlined or, where None, called, and the nominal terms inlined in the law
-    or, where nominal_f is None, called."""
-    xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
-    source = _LOOP.format(
-        n=n,
-        xs=", ".join(xs),
-        ys=", ".join(ys),
-        reference=_reference_block(n, m).replace("\n", "\n" + " " * 8),
-        xr=", ".join(["_xr[_i]", *(f"_xr[_i + {i}]" for i in range(1, n))]),
-        xdr=", ".join(["_xdr[_i]", *(f"_xdr[_i + {i}]" for i in range(1, n))]),
-        xds=", ".join(f"_xd{i}" for i in range(n)),
-        d=f"({'_d(t)' if d is None else d})",
-        law=textwrap.indent(_law_block(n, nominal_f, nominal_b).rstrip(), " " * 12),
-        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 12),
-    )
-    return _function_code(source, f"loop n={n} m={m}")
-
-
-@functools.cache
-def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
-    """The compiled interval entry of an order-n plant (see _interval_block)."""
-    source = _INTERVAL_ENTRY.format(
-        xs=", ".join(f"x{i}" for i in range(n)),
-        ys=", ".join(f"_y{i}" for i in range(n)),
-        interval=textwrap.indent(_interval_block(n, f, b, d).rstrip(), " " * 8),
-    )
-    return _function_code(source, f"interval n={n}")
-
-
-def _bind_truth(truth: PlantModel, d, bound: dict) -> tuple:
-    """The truth's (f, b) and d texts to inline, each None to call it, with
-    the values the interval reads added to bound."""
-    f, b = _inline_plant(truth, bound)
-    d_text = d.text if _inline(bound, {"t"}, d) else None
-    bound.update(_TEMPLATE_GLOBALS, _simulation=sys.modules[__name__], _truth=truth, _d=d)
-    return f, b, d_text
-
-
-def _bound_loop(truth: PlantModel, nominal: PlantModel, ctrl: ControllerState, ref: ReferenceSpec, d):
-    """The generated loop of one run, the values it reads bound as its
-    globals: the plants' parameters, when their terms are inlined, the
-    controller's and the reference's. Each run binds its own; only the
-    compiled code is kept."""
-    bound: dict = {"_lvl": float(ref.level)}
-    f, b, d_text = _bind_truth(truth, d, bound)
-    nominal_f, nominal_b = _bind_law(ctrl, nominal, bound)
-    for j, (omega, phase, coefs) in enumerate(ref._terms):
-        bound.update({f"_om{j}": float(omega), f"_ph{j}": float(phase)})
-        bound.update({f"_c{j}_{k}": float(coef) for k, (coef, _) in enumerate(coefs)})
-    code = _loop_code(truth.order, len(ref._terms), f, b, d_text, nominal_f, nominal_b)
-    return types.FunctionType(code, bound)
-
-
-def _bound_interval(truth: PlantModel, d):
-    """The interval entry of truth under d, its values bound as its globals."""
-    bound: dict = {}
-    f, b, d_text = _bind_truth(truth, d, bound)
-    return types.FunctionType(_interval_code(truth.order, f, b, d_text if f else None), bound)
 
 
 def integrate_interval(
@@ -452,7 +247,7 @@ def integrate_interval(
         y = y.tolist()
     # float(u): u computed from array elements is a numpy scalar, which would
     # carry numpy scalar arithmetic into every stage
-    return _bound_interval(truth, d)(y, float(u), t0, dt, substeps)
+    return bound_interval(truth, d)(y, float(u), t0, dt, substeps)
 
 
 def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
@@ -533,7 +328,7 @@ def run_closed_loop(
     y = (_reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)).tolist()
 
     d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
-    loop = _bound_loop(truth, nominal, ctrl, ref, d)
+    loop = bound_loop(truth, nominal, ctrl, ref, d, network_step)
 
     # a fault in the control law leaves its sample's u, s, d_hat and w_norm NaN
     t_arr, dtrue_arr = np.empty(count), np.empty(count)

@@ -5,7 +5,8 @@ import numpy as np
 
 from neurofl.dynamics import GainVector, StateVector
 from neurofl.plants import PlantModel
-from neurofl.rbf import RbfNetwork, _bind_basis
+from neurofl.generated import bind_basis
+from neurofl.rbf import RbfNetwork
 from neurofl.simulation import ReferenceSpec, _reference_values
 
 
@@ -22,7 +23,7 @@ def ideal_disturbance_plant(base: PlantModel, target: RbfNetwork, ref: Reference
         raise ValueError("reference order must equal plant order")
     filt = GainVector(lam, base.order).filter_weights
     w_target = target.weights
-    basis = _bind_basis(target)
+    basis = bind_basis(target)
     base_f = base.f_eval
     if not ref.components:
         xd_const = _reference_values(ref, 0.0)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,9 +8,9 @@ import pytest
 from neurofl.controller import ControllerState, control_step
 from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
-from neurofl.plants import Expression, PlantModel, no_disturbance, pendulum_plant
+from neurofl.plants import Expression, PlantModel, disturbance_sampler, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
-from neurofl.simulation import run_closed_loop, sinusoid_reference
+from neurofl.simulation import integrate_interval, run_closed_loop, sinusoid_reference
 
 
 def one_neuron_net(weight, eta=1.0, kappa=0.0):
@@ -308,6 +309,31 @@ def test_called_terms_get_a_tuple_of_floats_at_every_sample_and_stage(mode):
         control_step(ctrl, plant, x, np.array([0.0, 0.5]), -0.5, 0.3, 1e-2)
     assert len(calls) == 2 * (6 + 5 * 2 * 4) + 2 * 3
     assert all(kind is tuple and entries == [float, float] for kind, entries, _ in calls)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "compensated"])
+def test_a_term_returning_a_numpy_scalar_keeps_the_stages_python_floats(mode):
+    # the interval takes f and b as floats, as the law does: a float64 from
+    # f must not turn the later stages, the next sample's state or the
+    # interval's result into numpy scalars
+    calls = []
+    plant = probe_plant(calls)
+    f = plant.f_eval
+    numpy_f = dataclasses.replace(plant, f_eval=lambda x, t: np.float64(f(x, t)))
+    net = default_network(7, 1.0, 10.0) if mode == "compensated" else None
+    ctrl = ControllerState(gains=GainVector(2.0, 2), network=net)
+    ref = sinusoid_reference(0.5, 1.0, 0.0, 2)
+    runs = [
+        run_closed_loop(p, p, ctrl, ref, no_disturbance(), 2.0, 0.05, 1e-2, 2, x0=[0.2, -0.1]) for p in (numpy_f, plant)
+    ]
+    assert len(calls) == 2 * 2 * (6 + 5 * 2 * 4)
+    assert all(kind is tuple and entries == [float, float] for kind, entries, _ in calls)
+    fields = ("t", "x", "x_d", "u", "s", "d_hat", "d_true", "w_norm")
+    assert [getattr(runs[0], name).tobytes() for name in fields] == [getattr(runs[1], name).tobytes() for name in fields]
+    assert runs[0].event == runs[1].event and runs[0].terminal_event is None
+    d = disturbance_sampler(no_disturbance(), 1.0)
+    y = integrate_interval(numpy_f, (0.1, 0.0), 0.5, 0.0, 0.01, 2, d)
+    assert [type(v) for v in y] == [float, float] and y == integrate_interval(plant, (0.1, 0.0), 0.5, 0.0, 0.01, 2, d)
 
 
 class TestClosedLoopResiduals:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neurofl import rbf
+from neurofl import generated, rbf
 from neurofl.controller import ControllerState, control_step
 from neurofl.dynamics import GainVector
 from neurofl.errors import DivergenceFault
@@ -137,7 +137,7 @@ class TestGeneratedBasis:
     @pytest.mark.parametrize("neurons", [1, 2, 7, 9, 61, 64, 65, 129])
     def test_matches_the_comprehension_bitwise(self, neurons):
         net = default_network(neurons, 1.5, 5.0)
-        basis = rbf._bind_basis(net)
+        basis = generated.bind_basis(net)
         rng = random.Random(neurons)
         draws = [rng.uniform(-4.0, 4.0) for _ in range(200)] + [rng.gauss(0.0, 1e-3) for _ in range(50)]
         for s in [0.0, -0.0, 1e-300, -1e-300, 5e-324, *net.centers.tolist(), *draws]:
@@ -148,14 +148,14 @@ class TestGeneratedBasis:
 
     def test_matches_the_comprehension_at_the_widest_network(self):
         net = default_network(rbf.MAX_NEURONS, 2.0, 5.0)
-        basis = rbf._bind_basis(net)
+        basis = generated.bind_basis(net)
         for s in (0.0, 1.37, -1.9999, random.Random(5).uniform(-2.0, 2.0)):
             assert basis(s).tolist() == comprehension_basis(net, s), s
 
     @pytest.mark.parametrize("neurons", [1, 9, 65])
     def test_overflows_where_the_comprehension_does(self, neurons):
         net = default_network(neurons, 1.0, 5.0)
-        basis = rbf._bind_basis(net)
+        basis = generated.bind_basis(net)
         near = [SQRT_MAX, math.nextafter(SQRT_MAX, math.inf), 1.3e154, 1.35e154, 1e300]
         outcomes = []
         for s in near + [-v for v in near]:
@@ -171,7 +171,7 @@ class TestGeneratedBasis:
         # maximum, or overflows to inf
         centers = np.linspace(-1.0, 1.0, 70)
         net = make_net(centers, widths=np.full(70, sigma))
-        basis = rbf._bind_basis(net)
+        basis = generated.bind_basis(net)
         for s in [0.0, -0.0, 1e-300, *centers[::7].tolist(), 0.123, -5.0, 1e100]:
             assert basis(s).tolist() == comprehension_basis(net, s), s
 
@@ -191,9 +191,9 @@ class TestGeneratedBasis:
 
 def generated_bases(monkeypatch):
     """The sources of the bases compiled from here on, in order."""
-    rbf._basis_code.cache_clear()
+    generated._basis_code.cache_clear()
     sources = []
-    real = rbf._function_code
+    real = generated._function_code
 
     def recording(source, name=None):
         code = real(source, name)
@@ -201,7 +201,7 @@ def generated_bases(monkeypatch):
         assert code.co_filename.startswith(f"<neurofl {name} #") and name.startswith("basis m=")
         return code
 
-    monkeypatch.setattr(rbf, "_function_code", recording)
+    monkeypatch.setattr(generated, "_function_code", recording)
     return sources
 
 
@@ -218,7 +218,7 @@ class TestBasisCompiles:
             activations(default_network(neurons, 1.0, 5.0), 0.2)
         # one code per block size: 1, 63, 64 (65, 128 and 129 reuse 64 and 1), 8
         assert [basis_terms(source) for source in sources] == [1, 63, 64, 8]
-        assert max(basis_terms(source) for source in sources) <= rbf.BASIS_TERMS == 64
+        assert max(basis_terms(source) for source in sources) <= generated.BASIS_TERMS == 64
 
     def test_the_widest_network_compiles_a_block_and_its_remainder(self, monkeypatch):
         sources = generated_bases(monkeypatch)

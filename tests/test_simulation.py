@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neurofl import controller, plants, rbf, simulation
+from neurofl import generated, plants, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
@@ -340,8 +340,8 @@ class TestGeneratedInterval:
         shadowed = expression_plant(2, "-_h * x0 - x1", _h=3.0)
         plain = expression_plant(2, "-h * x0 - x1", h=3.0)
         d = disturbance_sampler(constant_disturbance(0.2), 1.0)
-        assert simulation._bound_interval(shadowed, d).__code__ is simulation._interval_code(2, None, None, None)
-        assert simulation._bound_interval(plain, d).__code__ is not simulation._interval_code(2, None, None, None)
+        assert generated.bound_interval(shadowed, d).__code__ is generated._interval_code(2, None, None, None)
+        assert generated.bound_interval(plain, d).__code__ is not generated._interval_code(2, None, None, None)
         assert every_fill(shadowed, (0.3, -0.1), 0.5, 0.0, 0.01, d) == every_fill(plain, (0.3, -0.1), 0.5, 0.0, 0.01, d)
 
     @pytest.mark.parametrize(
@@ -355,17 +355,17 @@ class TestGeneratedInterval:
         plant = expression_plant(2, f, **params)
         twin = expression_plant(2, f.replace("x[0]", "x0").replace("x[1]", "x1"), h=3.0)
         d = disturbance_sampler(constant_disturbance(0.2), 1.0)
-        assert simulation._bound_interval(plant, d).__code__ is simulation._interval_code(2, None, None, None)
-        assert simulation._bound_interval(twin, d).__code__ is not simulation._interval_code(2, None, None, None)
+        assert generated.bound_interval(plant, d).__code__ is generated._interval_code(2, None, None, None)
+        assert generated.bound_interval(twin, d).__code__ is not generated._interval_code(2, None, None, None)
         assert every_fill(plant, (0.3, -0.1), 0.5, 0.0, 0.01, d) == every_fill(twin, (0.3, -0.1), 0.5, 0.0, 0.01, d)
 
     def test_compiles_each_source_once(self):
-        simulation._interval_code.cache_clear()
+        generated._interval_code.cache_clear()
         for plant in (pendulum_plant(), pendulum_plant(c=0.3), called(pendulum_plant()), called(duffing_plant())):
             for spec in (no_disturbance(), constant_disturbance(0.1), constant_disturbance(0.2)):
                 integrate_interval(plant, (0.1, 0.0), 0.5, 0.0, 0.01, 2, disturbance_sampler(spec, 1.0))
         # pendulum inlined with d 0.0 or an offset, and one calling source
-        assert simulation._interval_code.cache_info().misses == 3
+        assert generated._interval_code.cache_info().misses == 3
 
 
 def trajectory_bytes(traj):
@@ -475,8 +475,8 @@ class TestGeneratedLoop:
         # the loops and the basis, only each disturbance text is compiled
         # (text and function)
         setups = sweep_grid_setups()
-        caches = (simulation._loop_code, simulation._interval_code, controller._law_code, plants._expression_code)
-        for cache in (*caches, rbf._basis_code):
+        caches = (generated._loop_code, generated._interval_code, generated._law_code, plants._expression_code)
+        for cache in (*caches, generated._basis_code):
             cache.cache_clear()
         compiled = []
         real = builtins.compile
@@ -501,7 +501,7 @@ class TestGeneratedLoop:
     def test_each_loop_stays_under_the_statement_budget(self, order):
         for m in (0, 1, 2):
             for f, b, d in ((None, None, None), ("x0 * c", "k", "d_offset")):
-                code = simulation._loop_code(order, m, f, b, d, f, b)
+                code = generated._loop_code(order, m, f, b, d, f, b)
                 source = "".join(linecache.getlines(code.co_filename))
                 statements = sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(source)))
                 assert statements <= MAX_LOOP_STATEMENTS, (order, m, f)
@@ -1122,8 +1122,8 @@ class TestIdealDisturbancePlant:
     def test_binds_the_basis_once_per_plant(self, monkeypatch):
         # f_eval runs at every RK4 stage; the basis is bound with the plant
         binds = []
-        real = ideal_plant._bind_basis
-        monkeypatch.setattr(ideal_plant, "_bind_basis", lambda net: binds.append(net) or real(net))
+        real = ideal_plant.bind_basis
+        monkeypatch.setattr(ideal_plant, "bind_basis", lambda net: binds.append(net) or real(net))
         target = dataclasses.replace(default_network(65, 1.0, 5.0), weights=np.linspace(-0.3, 0.3, 65))
         ref = constant_reference(0.0, 2)
         truth = ideal_disturbance_plant(pendulum_plant(), target, ref, 2.0)
