@@ -129,8 +129,7 @@ def _end(fault: Exception, records: tuple, k: int) -> tuple:
 # the names every generated function reads besides its run's own
 _GLOBALS = {
     "_float": float, "_copysign": math.copysign, "_isfinite": math.isfinite, "_sin": math.sin, "_exp": math.exp,
-    "_LIMIT": DIVERGENCE_LIMIT, "_DivergenceFault": DivergenceFault, "_ControllabilityFault": ControllabilityFault,
-    "_as_fault": _as_fault, "_end": _end, "_modules": sys.modules,
+    "_LIMIT": DIVERGENCE_LIMIT, "_DivergenceFault": DivergenceFault, "_as_fault": _as_fault, "_end": _end,
 }
 
 
@@ -191,13 +190,15 @@ def bind_basis(net):
 # The control law of one sample on float locals (the state x0, ..., the
 # reference derivatives _xd0, ..., _xd{n} and t), in control_step's order,
 # each reduction the same ndarray.dot on the same float64 values as np.dot.
-# {nominal} sets the nominal f and b, _fv and _bv, inlined or called (the
-# call fill). The network's step is a call: written out, it would double the
-# statements each loop compiles. The last check catches a non-finite u before
-# the plant's own arithmetic (math.sin, say) fails on it in the interval. No
-# handler: the function that runs the block passes any error to _as_fault
-# with _fv and _bv (0.0 before the first sample). It leaves _u, _s, _dhat,
-# _wnorm, the adapted weights _w and the event _ev.
+# {nominal} sets the nominal f and b, _fv and _bv, inlined or, in the call
+# fill, from the nominal PlantModel's terms on the state as a tuple of
+# floats, as the interval's stages call them. The network's step is a call:
+# written out, it would double the statements each loop compiles. The last
+# check catches a non-finite u before the plant's own arithmetic (math.sin,
+# say) fails on it in the interval. No handler: the function that runs the
+# block passes any error to _as_fault with _fv and _bv (0.0 before the first
+# sample). It leaves _u, _s, _dhat, _wnorm, the adapted weights _w and the
+# event _ev.
 _LAW = """\
 {nominal}
 {errors}
@@ -210,19 +211,11 @@ if _ulim is not None and abs(_u) > _ulim:
 if not _isfinite(_u):
     raise _DivergenceFault("control input u=%s is not finite at t=%.6g" % (_u, t))
 """
-# the call fill: f and b called on the state as a tuple of floats, as the
-# interval's stages call them, and taken as floats; each raw value is bound
-# first, so that _as_fault sees a complex one that float() rejects
-_CALLED = """\
-_xv = ({xs},)
-_fv, _bv = _float(_fv := _nf(_xv, t)), _float(_bv := _nb(_xv, t))
-if abs(_bv) < _nbmin:
-    raise _ControllabilityFault("|b|=%.3g below guard %.3g" % (abs(_bv), _nbmin), state=_xv, t=t)"""
 
 
 def _law_block(n: int, f: str | None, b: str | None) -> str:
     """The law of an order-n loop, the nominal f and b inlined or, where None, called."""
-    nominal = _CALLED.format(xs=_names("x{}", n)) if f is None else f"_fv, _bv = ({f}), ({b})"
+    nominal = f"_fv, _bv = _nterms(({_names('x{}', n)},), t)" if f is None else f"_fv, _bv = ({f}), ({b})"
     errors = f"{_names('_xt[{}]', n)} = {_names('x{0} - _xd{0}', n)}"
     return _LAW.format(nominal=nominal, errors=errors, n=n, saturation=EVENT_SATURATION)
 
@@ -234,7 +227,7 @@ def _bind_law(ctrl, nominal, network_step, bound: dict) -> tuple:
     one n-element buffer."""
     f, b = _inline_plant(nominal, bound)
     errors = array("d", bytes(8 * ctrl.gains.order))
-    bound.update(_GLOBALS, _nf=nominal.f_eval, _nb=nominal.b_eval, _nbmin=nominal.b_min, _ulim=ctrl.u_limit)
+    bound.update(_GLOBALS, _nterms=nominal.terms, _ulim=ctrl.u_limit)
     bound.update(_net=ctrl.network, _basis=None if ctrl.network is None else bind_basis(ctrl.network))
     bound.update(_network_step=network_step, _xt=errors, _xtv=np.frombuffer(errors))
     bound.update(_s_dot=ctrl.gains.filter_weights.dot, _k_dot=ctrl.gains.gains.dot)
@@ -298,12 +291,11 @@ if {beyond}:
 
 def _interval_block(n: int, f: str | None, b: str | None, d: str | None) -> str:
     """The interval of an order-n plant: f, a constant b (b*u formed once) and
-    d (called where None) inlined or, where f is None, _plant_deriv called."""
+    d (called where None) inlined or, where f is None, the bound
+    plant_deriv's right-hand side called."""
     xs, ys = [f"x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
     if f is None:
-        # looked up at run time on the simulation module, so that a wrapper installed there is the one called
-        accel = f"_accel(({', '.join(xs)},), t)"
-        prologue = f"_accel = _modules[{__package__ + '.simulation'!r}]._plant_deriv(_truth, _u, _d)"
+        accel, prologue = f"_accel(({', '.join(xs)},), t)", "_accel = _plant_deriv(_truth, _u, _d)"
     else:
         accel, prologue = f"({f}) + _bu + ({'_d(t)' if d is None else d})", f"_bu = ({b}) * _u"
 
@@ -352,20 +344,21 @@ def _interval_code(n: int, f: str | None, b: str | None, d: str | None):
     return _function_code(source, f"interval n={n}")
 
 
-def _bind_truth(truth, d, bound: dict) -> tuple:
+def _bind_truth(truth, d, plant_deriv, bound: dict) -> tuple:
     """The truth's (f, b) and d texts to inline, each None to call it, with
-    the values the interval reads added to bound."""
+    the values the interval reads added to bound: plant_deriv(truth, u, d)
+    builds the right-hand side of an interval that calls the terms."""
     f, b = _inline_plant(truth, bound)
     d_text = d.text if _inline(bound, {"t"}, d) else None
-    bound.update(_GLOBALS, _truth=truth, _d=d)
+    bound.update(_GLOBALS, _truth=truth, _d=d, _plant_deriv=plant_deriv)
     return f, b, d_text
 
 
-def bound_interval(truth, d):
+def bound_interval(truth, d, plant_deriv):
     """interval(y, u, t0, dt, substeps) of the truth plant under the
-    disturbance d(t), its values bound as its globals."""
+    disturbance d(t), its values bound as its globals (see _bind_truth)."""
     bound: dict = {}
-    f, b, d_text = _bind_truth(truth, d, bound)
+    f, b, d_text = _bind_truth(truth, d, plant_deriv, bound)
     return types.FunctionType(_interval_code(truth.order, f, b, d_text if f else None), bound)
 
 
@@ -432,12 +425,12 @@ def _loop_code(n: int, m: int, f: str | None, b: str | None, d: str | None, nomi
     return _function_code(source, f"loop n={n} m={m}")
 
 
-def bound_loop(truth, nominal, ctrl, ref, d, network_step):
+def bound_loop(truth, nominal, ctrl, ref, d, network_step, plant_deriv):
     """loop(y, steps, dt, substeps, w, records) of one run, its values bound
-    as its globals: the inlined plants' parameters, the controller's (see
-    _bind_law) and the ReferenceSpec ref's."""
+    as its globals: the truth's and the disturbance's (see _bind_truth), the
+    controller's (see _bind_law) and the ReferenceSpec ref's."""
     bound: dict = {"_lvl": float(ref.level)}
-    f, b, d_text = _bind_truth(truth, d, bound)
+    f, b, d_text = _bind_truth(truth, d, plant_deriv, bound)
     nominal_f, nominal_b = _bind_law(ctrl, nominal, network_step, bound)
     for j, (omega, phase, coefs) in enumerate(ref._terms):
         bound.update({f"_om{j}": float(omega), f"_ph{j}": float(phase)})

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ControllabilityFault
+
 __all__ = [
     "PlantModel",
     "DisturbanceSpec",
@@ -85,6 +87,18 @@ class PlantModel:
             raise ValueError("plant order must be >= 1")
         if not (self.b_min > 0.0):
             raise ValueError("b_min must be > 0")
+
+    def terms(self, x, t, where: str = "") -> tuple:
+        """(f, b) at the state x and time t, as generated code calls the
+        terms it does not inline: b first, a ControllabilityFault carrying x
+        (where appended to its message) when |b| < b_min, then f. A numpy
+        scalar is taken as the Python number it holds, a complex one as a
+        complex, so that no numpy arithmetic follows."""
+        b = self.b_eval(x, t)
+        if abs(b) < self.b_min:
+            raise ControllabilityFault(f"|b|={abs(b):.3g} below guard {self.b_min:.3g}{where}", state=x, t=t)
+        f = self.f_eval(x, t)
+        return (f.item() if isinstance(f, np.generic) else f), (b.item() if isinstance(b, np.generic) else b)
 
 
 def pendulum_plant(m: float = 1.0, l: float = 1.0, c: float = 0.0, g: float = 9.81) -> PlantModel:

@@ -14,7 +14,7 @@ from .controller import ControllerState, network_step
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .controller import control_step  # noqa: F401
 from .dynamics import StateVector
-from .errors import ControllabilityFault, DivergenceFault
+from .errors import DivergenceFault
 # the run's terminal events, named here for the callers of run_closed_loop
 from .generated import DIVERGENCE_LIMIT, EVENT_CONTROLLABILITY, EVENT_DIVERGENCE  # noqa: F401
 from .generated import bound_interval, bound_loop
@@ -204,26 +204,15 @@ class Metrics:
 
 def _plant_deriv(plant: PlantModel, u: float, d):
     """accel(y, tau): the highest derivative x^(n) = f + b*u + d(tau) of the
-    companion form with u held constant, for any indexable state y. A numpy
-    scalar f or b is taken as the Python number it holds, so that no numpy
-    arithmetic reaches the stages: a real one as a float, as the law's call
-    fill takes it, and a complex one as a complex, which the interval's fault
-    rule makes a divergence, as it does an inlined complex term."""
-    f_eval = plant.f_eval
-    b_eval = plant.b_eval
-    b_min = plant.b_min
+    companion form with u held constant, for any indexable state y, f and b
+    from plant.terms. The interval that calls the terms builds one per
+    interval through the function its binder was passed, which is this
+    module's current _plant_deriv, so that a wrapper installed here is the
+    one called."""
+    terms = plant.terms
 
     def accel(y, tau):
-        b = b_eval(y, tau)
-        if abs(b) < b_min:
-            raise ControllabilityFault(
-                f"|b|={abs(b):.3g} below guard {b_min:.3g} during integration",
-                state=np.array(y),
-                t=tau,
-            )
-        f = f_eval(y, tau)
-        f = f.item() if isinstance(f, np.generic) else f
-        b = b.item() if isinstance(b, np.generic) else b
+        f, b = terms(y, tau, " during integration")
         return f + b * u + d(tau)
 
     return accel
@@ -247,7 +236,7 @@ def integrate_interval(
         y = y.tolist()
     # float(u): u computed from array elements is a numpy scalar, which would
     # carry numpy scalar arithmetic into every stage
-    return bound_interval(truth, d)(y, float(u), t0, dt, substeps)
+    return bound_interval(truth, d, _plant_deriv)(y, float(u), t0, dt, substeps)
 
 
 def _control_steps(T: float, dt_ctrl: float, substeps: int) -> int:
@@ -328,7 +317,7 @@ def run_closed_loop(
     y = (_reference_values(ref, 0.0)[0] if x0 is None else _initial_state(x0, n)).tolist()
 
     d = disturbance_sampler(dist, _disturbance_horizon(steps, dt_ctrl, substeps))
-    loop = bound_loop(truth, nominal, ctrl, ref, d, network_step)
+    loop = bound_loop(truth, nominal, ctrl, ref, d, network_step, _plant_deriv)
 
     # a fault in the control law leaves its sample's u, s, d_hat and w_norm NaN
     t_arr, dtrue_arr = np.empty(count), np.empty(count)

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from neurofl.controller import ControllerState, control_step
+from neurofl import generated
+from neurofl.controller import ControllerState, control_step, network_step
 from neurofl.dynamics import GainVector, StateVector
 from neurofl.errors import ControllabilityFault, DivergenceFault
 from neurofl.plants import Expression, PlantModel, disturbance_sampler, no_disturbance, pendulum_plant
 from neurofl.rbf import RbfNetwork, default_network
-from neurofl.simulation import integrate_interval, run_closed_loop, sinusoid_reference
+from neurofl.simulation import constant_reference, integrate_interval, run_closed_loop, sinusoid_reference
 
 
 def one_neuron_net(weight, eta=1.0, kappa=0.0):
@@ -334,6 +335,99 @@ def test_a_term_returning_a_numpy_scalar_keeps_the_stages_python_floats(mode):
     d = disturbance_sampler(no_disturbance(), 1.0)
     y = integrate_interval(numpy_f, (0.1, 0.0), 0.5, 0.0, 0.01, 2, d)
     assert [type(v) for v in y] == [float, float] and y == integrate_interval(plant, (0.1, 0.0), 0.5, 0.0, 0.01, 2, d)
+
+
+# The law and the interval call a plant's terms they do not inline through
+# one rule, PlantModel.terms. Each case below is one on which their two
+# earlier copies of that rule disagreed.
+
+
+def called_plant(f, b=lambda x, t: 1.0):
+    return PlantModel(order=2, f_eval=f, b_eval=b, b_min=0.5, name="called")
+
+
+def law_and_interval(plant):
+    """The exception type, or "ok", of the plant's terms called once in the
+    law (control_step, the plant nominal) and once in the interval
+    (integrate_interval, the plant the truth)."""
+
+    def outcome(call):
+        try:
+            call()
+        except Exception as exc:
+            return type(exc)
+        return "ok"
+
+    x, d = np.array([0.2, -0.1]), disturbance_sampler(no_disturbance(), 1.0)
+    return (
+        outcome(lambda: control_step(baseline_ctrl(), plant, x, np.zeros(2), 0.0, 0.0, 1e-2)),
+        outcome(lambda: integrate_interval(plant, x, 0.5, 0.0, 1e-2, 1, d)),
+    )
+
+
+def run_as(plant, role):
+    """A 6-sample run with the plant as its truth or its nominal model."""
+    plain = called_plant(lambda x, t: -x[0])
+    truth, nominal = (plant, plain) if role == "truth" else (plain, plant)
+    ref = constant_reference(0.0, 2)
+    return run_closed_loop(truth, nominal, baseline_ctrl(), ref, no_disturbance(), 2.0, 0.05, 1e-2, 1, x0=[0.2, -0.1])
+
+
+@pytest.mark.parametrize("role", ["nominal", "truth"])
+@pytest.mark.parametrize("kind", [complex, np.complex128], ids=["python", "numpy"])
+def test_a_complex_term_is_a_divergence_at_its_first_call(kind, role):
+    # float() of a numpy complex keeps its real part with a ComplexWarning,
+    # which the tier-1 filter on RuntimeWarning would turn into an error
+    plant = called_plant(lambda x, t: kind(-x[0] + 0.5j))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run_as(plant, role)
+        outcomes = law_and_interval(plant)
+    assert caught == []
+    assert traj.terminal_event == "divergence" and traj.terminal_t == 0.0
+    assert outcomes == (DivergenceFault, DivergenceFault)
+
+
+@pytest.mark.parametrize("role", ["nominal", "truth"])
+def test_a_term_returning_a_numeric_string_is_a_type_error(role):
+    plant = called_plant(lambda x, t: "-0.5")
+    assert law_and_interval(plant) == (TypeError, TypeError)
+    with pytest.raises(TypeError):
+        run_as(plant, role)
+
+
+@pytest.mark.parametrize("role", ["nominal", "truth"])
+def test_b_below_its_guard_is_a_fault_before_f_is_called(role):
+    def f_eval(x, t):
+        raise ZeroDivisionError("f is undefined where b vanishes")
+
+    plant = called_plant(f_eval, b=lambda x, t: 0.1)
+    assert law_and_interval(plant) == (ControllabilityFault, ControllabilityFault)
+    traj = run_as(plant, role)
+    assert traj.terminal_event == "controllability_fault" and traj.terminal_t == 0.0
+
+
+def test_a_controllability_fault_carries_the_tuple_the_terms_received():
+    received = []
+
+    def b_eval(x, t):
+        received.append(x)
+        return 0.1
+
+    plant = called_plant(lambda x, t: 0.0, b=b_eval)
+    law = generated.bound_law(baseline_ctrl(), plant, network_step)
+    with pytest.raises(ControllabilityFault, match=r"^\|b\|=0.1 below guard 0.5$") as in_law:
+        law([0.2, -0.1], [0.0, 0.0, 0.0], 0.0, 1e-2, None)
+    d = disturbance_sampler(no_disturbance(), 1.0)
+    with pytest.raises(ControllabilityFault, match=r"^\|b\|=0.1 below guard 0.5 during integration$") as in_interval:
+        integrate_interval(plant, [0.2, -0.1], 0.5, 0.0, 1e-2, 1, d)
+    assert received == [(0.2, -0.1), (0.2, -0.1)]
+    assert in_law.value.state is received[0] and in_interval.value.state is received[1]
+    # control_step hands back its caller's object instead
+    x = StateVector([0.2, -0.1])
+    with pytest.raises(ControllabilityFault) as in_step:
+        control_step(baseline_ctrl(), plant, x, np.zeros(2), 0.0, 0.0, 1e-2)
+    assert in_step.value.state is x
 
 
 class TestClosedLoopResiduals:

@@ -1,8 +1,9 @@
-"""The package's modules reach each other only through public names, with a
-short list of exceptions, and the run's generated code has one home,
-neurofl.generated."""
+"""The package's modules reach each other only through imports of public
+names, with a short list of exceptions, and the run's generated code has one
+home, neurofl.generated."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,21 @@ def test_module_imports_form_no_cycle():
         assert ready, {module: needs - done for module, needs in edges.items() if module not in done}
         done |= ready
     assert edges["generated"] == {"errors", "plants"}
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_no_module_finds_another_at_run_time(module):
+    # a module reaches another through an import, which the tests above
+    # see, never through sys.modules or a module path in a string
+    others = [other for other in MODULES if other != module]
+    named = re.compile(rf"(?:^|\bneurofl)\.(?:{'|'.join(others)})\b")
+    for node in ast.walk(tree(module)):
+        if isinstance(node, ast.Attribute):
+            assert ast.unparse(node) != "sys.modules", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            assert "modules" not in {alias.name for alias in node.names}, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert not named.search(node.value), (node.lineno, node.value)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -75,6 +75,17 @@ class TestEvalDynamics:
         np.testing.assert_array_equal(exc.value.state, [1.0, 2.0])
         assert exc.value.t == 3.5
 
+    def test_terms_take_numpy_scalars_as_python_numbers(self):
+        p = PlantModel(
+            order=1,
+            f_eval=lambda x, t: np.float64(x[0] - t),
+            b_eval=lambda x, t: np.complex128(2.0 + 1j),
+            b_min=0.5,
+            name="numpy",
+        )
+        f, b = p.terms((0.75,), 0.5)
+        assert (type(f), f, type(b), b) == (float, 0.25, complex, 2.0 + 1j)
+
     def test_affine_in_u_with_slope_b(self):
         for plant in (pendulum_plant(), duffing_plant(), vanderpol_plant(gain=-2.5)):
             x = [0.4, -0.3]
