@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 config error, 3 runtime fault, 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -179,6 +178,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
+    # imported here, so that importing the library does not load it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="neurofl",
         description="Feedback-linearization control experiments with an online RBF disturbance compensator.",

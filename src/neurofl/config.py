@@ -15,11 +15,12 @@ a JSON integer, any other a finite number, and one without a default is a
 required key. Every rule on a value has one home, the library constructor
 or helper that owns the value; assembly runs each rule, a library
 ValueError "key: ..." becomes a ConfigError "section.key: ...", and
-build_experiment returns the objects the config holds. config_from_dict
-only unpacks the JSON: root and section objects, their keys, repeated keys
-and the required plant section, with the keys read from the declarations;
-the defaults fill in the keys the JSON leaves out, and to_dict writes the
-same keys back.
+build_experiment returns the objects the config holds. Configs whose
+network sections agree share one network, and configs whose lambda and
+plant order agree one gain vector. config_from_dict only unpacks the JSON:
+root and section objects, their keys, repeated keys and the required plant
+section, with the keys read from the declarations; the defaults fill in the
+keys the JSON leaves out, and to_dict writes the same keys back.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 from .controller import ControllerState
 from .dynamics import GainVector
@@ -87,6 +88,10 @@ class _Section(dict):
     def __reduce__(self):
         # copy and pickle rebuild it whole rather than item by item
         return _Section, (dict(self),)
+
+    def __hash__(self):
+        # equal sections hash alike whatever their key order, so a config hashes
+        return hash(frozenset(self.items()))
 
 
 def _frozen(value):
@@ -181,17 +186,49 @@ def _object(val, where: str) -> dict:
     return val
 
 
-@contextmanager
-def _keyed(prefix: str, root_keys=()):
-    """Re-raise a library ValueError as a ConfigError with prefix in front of
-    its message: under "controller.", GainVector's "lambda: must be > 0"
-    reads "controller.lambda: must be > 0". A message on one of root_keys, a
-    value the section takes from the config root, names the root key."""
-    try:
-        yield
-    except ValueError as exc:
-        message = str(exc)
-        raise ConfigError(("" if message.partition(":")[0] in root_keys else prefix) + message) from exc
+class _keyed:
+    """A context that re-raises a library ValueError as a ConfigError with
+    prefix in front of its message: under "controller.", GainVector's
+    "lambda: must be > 0" reads "controller.lambda: must be > 0". A message
+    on one of root_keys, a value the section takes from the config root,
+    names the root key. A class, since entering one costs what a try does."""
+
+    __slots__ = ("prefix", "root_keys")
+
+    def __init__(self, prefix: str, root_keys=()):
+        self.prefix = prefix
+        self.root_keys = root_keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError):
+            message = str(exc)
+            raise ConfigError(("" if message.partition(":")[0] in self.root_keys else self.prefix) + message) from exc
+        return False
+
+
+# The most networks and gain vectors, together, that assembly keeps for
+# later configs to share (see _shared). A network of rbf.MAX_NEURONS neurons
+# holds three 800 kB arrays, so a full cache holds at most 77 MB.
+SHARED_BUILDS = 32
+
+
+def _shared(build, **arguments):
+    """build(**arguments), one object for every call whose arguments agree
+    bit for bit, up to the last SHARED_BUILDS distinct calls. Assembly builds
+    its networks and gain vectors so: both are frozen, their arrays are
+    read-only, and nothing a run does changes them. A float argument is
+    keyed by its sign too, since 0.0 == -0.0 yet the two can give a network
+    different bits; a build that raises is not kept, so it raises again."""
+    key = [(name, type(v), v, math.copysign(1.0, v) if type(v) is float else None) for name, v in arguments.items()]
+    return _built(build, tuple(key))
+
+
+@lru_cache(maxsize=SHARED_BUILDS)
+def _built(build, key):
+    return build(**{name: value for name, _, value, _ in key})
 
 
 _REQUIRED = inspect.Parameter.empty
@@ -345,7 +382,8 @@ class ExperimentConfig:
         object.__setattr__(self, "_setup", _assemble(self))
 
     def __reduce__(self):
-        # the setup holds closures: a copy or an unpickled config assembles its own
+        # the setup holds closures: a copy or an unpickled config assembles
+        # again, sharing the network and gains of a config that agrees
         return ExperimentConfig, tuple(getattr(self, f.name) for f in _FIELDS)
 
     def to_dict(self) -> dict:
@@ -430,13 +468,15 @@ def _assemble(cfg: ExperimentConfig) -> ExperimentSetup:
     holds it only in compensated mode, and compare runs the setup with and
     without it.
     """
+    # a plant is never shared: an Expression's params are its function's
+    # live globals
     with _keyed("plant.params."):
         plant = PLANT_BUILDERS[cfg.plant_name](**cfg.plant_params)
     with _keyed("controller.network."):
         _check_leakage_step(cfg.network["kappa"], cfg.dt_ctrl)
-        network = default_network(**cfg.network)
+        network = _shared(default_network, **cfg.network)
     with _keyed("controller."):
-        gains = GainVector(cfg.lam, plant.order)
+        gains = _shared(GainVector, lam=cfg.lam, order=plant.order)
         ctrl = ControllerState(gains, network if cfg.mode == COMPENSATED else None, cfg.u_limit)
     with _keyed("reference."):
         ref = _build_reference(cfg.reference, plant.order)

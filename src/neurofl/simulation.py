@@ -164,10 +164,11 @@ def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return np.array(_rk4(deriv_list, np.asarray(y, dtype=float).tolist(), t, dt))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Uniform-grid record of a closed-loop run. On a fault the arrays hold
-    the partial run and terminal_event names the fault."""
+    the partial run and terminal_event names the fault. A run equals only
+    itself: compare the arrays to compare two runs."""
 
     t: np.ndarray
     x: np.ndarray

@@ -226,6 +226,10 @@ def test_value_rule_has_one_home_and_names_its_key(key, home, sections, mode):
     assert str(exc.value).startswith(f"{key}: "), str(exc.value)
     # a library rule reaches config as the cause of the ConfigError
     assert raised_in(exc.value.__cause__ or exc.value) == home
+    # assembly shares what it built before, never a failed build
+    with pytest.raises(ConfigError) as again:
+        config_from_dict(raw)
+    assert str(again.value) == str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +314,15 @@ def test_stored_sections_are_read_only():
     assert type(written["disturbance"]) is dict and type(components.to_dict()["reference"]["components"]) is list
     changed = replace(cfg, disturbance={**cfg.disturbance, "offset": 0.4})
     assert build_experiment(changed).dist.offset == 0.4 and cfg.disturbance["offset"] == 0.3
+
+
+def test_equal_configs_hash_alike():
+    cfg = load_config(GOLDEN / "golden_config.json")
+    assert hash(replace(cfg)) == hash(cfg)
+    assert len({cfg, replace(cfg)}) == 1
+    # a section's hash ignores its key order, as its equality does
+    network = config._Section(reversed(list(cfg.network.items())))
+    assert list(network) != list(cfg.network) and network == cfg.network and hash(network) == hash(cfg.network)
 
 
 def test_field_keys_are_the_declared_keys():
@@ -739,6 +752,7 @@ class TestAssembledOnce:
         assert len(plant_builds) <= 2
 
     def test_one_build_constructs_one_network(self, monkeypatch):
+        config._built.cache_clear()
         built = []
         post_init = RbfNetwork.__post_init__
 
@@ -752,6 +766,27 @@ class TestAssembledOnce:
         setup = build_experiment(config_from_dict(raw))
         assert len(built) == 1 and built[0] is setup.ctrl.network
         assert (setup.ctrl.network.leakage, setup.ctrl.network.weight_cap) == (0.01, 2.0)
+
+    def test_configs_that_agree_share_their_network_and_gains(self):
+        cfg = load_config(GOLDEN / "golden_config.json")
+        ctrl = build_experiment(cfg).ctrl
+        # a baseline-mode config builds the same network, which its controller leaves out
+        baseline = replace(cfg, mode="baseline")
+        assert build_experiment(baseline).ctrl.network is None
+        others = (replace(cfg, seed=cfg.seed + 1), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)))
+        for other in (*others, replace(baseline, mode="compensated")):
+            assert build_experiment(other).ctrl.network is ctrl.network
+            assert build_experiment(other).ctrl.gains is ctrl.gains
+
+    def test_kappa_zero_and_minus_zero_build_distinct_networks(self):
+        nets = [
+            build_experiment(
+                config_from_dict(minimal_config(controller={"mode": "compensated", "network": {"kappa": kappa}}))
+            ).ctrl.network
+            for kappa in (0.0, -0.0)
+        ]
+        assert nets[0] is not nets[1]
+        assert [math.copysign(1.0, net.leakage) for net in nets] == [1.0, -1.0]
 
     def test_replace_checks_value_rules_at_construction(self):
         cfg = config_from_dict(minimal_config())

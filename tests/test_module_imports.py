@@ -103,3 +103,13 @@ def test_each_module_imports_in_a_fresh_interpreter(module):
     code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import neurofl.{module}"
     result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_library_import_leaves_argparse_to_the_cli():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import neurofl, neurofl.cli; "
+        "assert 'argparse' not in sys.modules, 'argparse'; sys.exit(neurofl.cli.main(['--version']))"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("neurofl ")

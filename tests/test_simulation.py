@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neurofl import generated, plants, simulation
+from neurofl import config, generated, plants, simulation
 from neurofl.config import build_experiment, config_from_dict
 from neurofl.controller import ControllerState, StepLog
 from neurofl.dynamics import GainVector, StateVector, filtered_error, tracking_error
@@ -442,6 +442,28 @@ def run_setup(setup):
     )
 
 
+def test_a_sweeps_configs_share_their_network_and_gains(monkeypatch):
+    # 96 configs with one network section and four lambdas, all of order 2
+    config._built.cache_clear()
+    built = []
+
+    def counting(post_init):
+        def counted(obj):
+            built.append(obj)
+            post_init(obj)
+
+        return counted
+
+    for cls in (RbfNetwork, GainVector):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+    setups = sweep_grid_setups()
+    networks = [obj for obj in built if isinstance(obj, RbfNetwork)]
+    gains = [obj for obj in built if isinstance(obj, GainVector)]
+    assert (len(networks), len(gains)) == (1, 4)
+    assert {id(s.ctrl.network) for s in setups if s.ctrl.network} == {id(networks[0])}
+    assert {id(s.ctrl.gains) for s in setups} == {id(g) for g in gains}
+
+
 class TestGeneratedLoop:
     @pytest.mark.parametrize("fault", [False, True], ids=["complete", "basis-overflow"])
     def test_a_run_keeps_neither_its_plant_nor_its_disturbance(self, monkeypatch, fault):
@@ -613,6 +635,17 @@ class TestReferenceAt:
 
 
 class TestRunClosedLoop:
+    def test_a_run_equals_only_itself(self):
+        runs = [
+            run_closed_loop(
+                integrator_plant(), integrator_plant(), baseline_ctrl(), constant_reference(0.0, 2),
+                no_disturbance(), 2.0, 0.1, 1e-2, 1, x0=[0.0, 0.0],
+            )
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[0] and runs[0] != runs[1]
+        assert trajectory_bytes(runs[0]) == trajectory_bytes(runs[1])
+
     def test_zero_everything_stays_zero(self):
         traj = run_closed_loop(
             integrator_plant(),
