@@ -10,11 +10,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import BASELINE, COMPENSATED, ExperimentConfig, build_experiment, load_config
+from .controller import ControllerState
 from .errors import ConfigError
 from .simulation import Metrics, Trajectory, compute_metrics, run_closed_loop
 
@@ -52,7 +53,8 @@ def _json_value(value):
 
 
 def _metrics_dict(metrics: Metrics, traj: Trajectory) -> dict:
-    out = {key: _json_value(value) for key, value in asdict(metrics).items()}
+    # a Metrics holds exactly its fields, in their constructor's order
+    out = {key: _json_value(value) for key, value in vars(metrics).items()}
     out["terminal_event"] = traj.terminal_event
     out["terminal_t"] = traj.terminal_t
     out["records"] = len(traj)
@@ -92,11 +94,12 @@ def resolve_out_dir(cli_value: str | None, cfg: ExperimentConfig) -> Path:
     return Path(".")
 
 
-def _run_setup(setup):
+def _run_setup(setup, ctrl):
+    """Run the setup under ctrl, its own controller or one derived from it."""
     return run_closed_loop(
         truth=setup.truth,
         nominal=setup.nominal,
-        ctrl=setup.ctrl,
+        ctrl=ctrl,
         ref=setup.ref,
         dist=setup.dist,
         lam=setup.lam,
@@ -110,7 +113,7 @@ def _run_setup(setup):
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run one experiment; write trajectory.csv and metrics.json."""
     setup = build_experiment(cfg)
-    traj = _run_setup(setup)
+    traj = _run_setup(setup, setup.ctrl)
     metrics = compute_metrics(traj)
     summary = _metrics_dict(metrics, traj)
     try:
@@ -141,10 +144,11 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run the identical scenario without and with the network and write
     baseline.csv, compensated.csv and compare_metrics.json."""
     setup = build_experiment(cfg if cfg.mode == COMPENSATED else replace(cfg, mode=COMPENSATED))
-    halves = {BASELINE: replace(setup, ctrl=replace(setup.ctrl, network=None)), COMPENSATED: setup}
+    ctrl = setup.ctrl
+    halves = {BASELINE: ControllerState(ctrl.gains, None, ctrl.u_limit), COMPENSATED: ctrl}
     results = {}
     for mode, half in halves.items():
-        traj = _run_setup(half)
+        traj = _run_setup(setup, half)
         results[mode] = (traj, compute_metrics(traj))
 
     summaries = {mode: _metrics_dict(m, t) for mode, (t, m) in results.items()}

@@ -46,6 +46,7 @@ from .plants import (
 )
 from .rbf import _check_leakage_step, default_network
 from .simulation import REFERENCE_BUILDERS, ReferenceSpec, _control_steps, _disturbance_horizon, _initial_state
+from .values import Record
 
 __all__ = ["ExperimentConfig", "ExperimentSetup", "load_config", "config_from_dict", "build_experiment"]
 
@@ -60,20 +61,34 @@ PLANT_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSetup:
+class ExperimentSetup(Record):
     """Simulation objects assembled from a config, ready for run_closed_loop."""
 
-    truth: PlantModel
-    nominal: PlantModel
-    ctrl: ControllerState
-    ref: ReferenceSpec
-    dist: DisturbanceSpec
-    lam: float
-    T: float
-    dt_ctrl: float
-    substeps: int
-    x0: tuple | None
+    def __init__(
+        self,
+        truth: PlantModel,
+        nominal: PlantModel,
+        ctrl: ControllerState,
+        ref: ReferenceSpec,
+        dist: DisturbanceSpec,
+        lam: float,
+        T: float,
+        dt_ctrl: float,
+        substeps: int,
+        x0: tuple | None,
+    ):
+        vars(self).update(
+            truth=truth,
+            nominal=nominal,
+            ctrl=ctrl,
+            ref=ref,
+            dist=dist,
+            lam=lam,
+            T=T,
+            dt_ctrl=dt_ctrl,
+            substeps=substeps,
+            x0=x0,
+        )
 
 
 class _Section(dict):

@@ -9,7 +9,6 @@ uncompensated law bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,37 +21,32 @@ from .plants import PlantModel
 from .rbf import RbfNetwork, _adapt_with_phi
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .rbf import activations  # noqa: F401
+from .values import Frozen, Record
 
 __all__ = ["ControllerState", "StepLog", "control_step"]
 
 EVENT_WEIGHT_CAP = "weight_cap"
 
 
-@dataclass(frozen=True, eq=False)
-class ControllerState:
+class ControllerState(Frozen):
     """Gains from lambda, the compensating network (None: no compensation),
     and an optional limit on |u|."""
 
-    gains: GainVector
-    network: RbfNetwork | None = None
-    u_limit: float | None = None
+    def __init__(self, gains: GainVector, network: RbfNetwork | None = None, u_limit: float | None = None):
+        vars(self).update(gains=gains, network=network, u_limit=u_limit)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.u_limit is not None and not (self.u_limit > 0.0):
             raise ValueError("u_limit: must be > 0 when set")
 
 
-@dataclass(frozen=True)
-class StepLog:
+class StepLog(Record):
     """Per-sample controller record: input applied, combined error, compensator
     output, weight norm of the network that produced it, and any events."""
 
-    t: float
-    u: float
-    s: float
-    d_hat: float
-    w_norm: float
-    event: str = ""
+    def __init__(self, t: float, u: float, s: float, d_hat: float, w_norm: float, event: str = ""):
+        vars(self).update(t=t, u=u, s=s, d_hat=d_hat, w_norm=w_norm, event=event)
 
 
 def network_step(net: RbfNetwork, basis, w: np.ndarray, s: float, dt_ctrl: float, t: float) -> tuple:
@@ -107,6 +101,8 @@ def control_step(
     except ControllabilityFault as exc:
         exc.state = x  # the caller's object, not the raw values
         raise
-    if ctrl.network is not None:
-        ctrl = replace(ctrl, network=replace(ctrl.network, weights=w))
+    net = ctrl.network
+    if net is not None:
+        net = RbfNetwork(net.centers, net.widths, w, net.learning_rate, net.leakage, net.weight_cap)
+        ctrl = ControllerState(ctrl.gains, net, ctrl.u_limit)
     return u, ctrl, StepLog(t=t, u=u, s=s, d_hat=d_hat, w_norm=w_norm, event=event)

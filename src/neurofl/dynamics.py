@@ -10,10 +10,10 @@ compensator sees as input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
+
+from .values import Frozen
 
 __all__ = [
     "StateVector",
@@ -33,15 +33,17 @@ def _readonly_array(values, name):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Frozen):
     """State [x, dx/dt, ..., d^(n-1)x/dt^(n-1)] of an nth-order scalar output.
 
     Reference states and tracking errors use the same shape. Values are
-    finite reals; the array is read-only once constructed.
+    finite reals; the array is read-only once constructed. Two are equal
+    when their values are; a StateVector is not hashable.
     """
 
-    values: np.ndarray
+    def __init__(self, values: np.ndarray):
+        vars(self)["values"] = values
+        self.__post_init__()
 
     def __post_init__(self):
         arr = _readonly_array(self.values, "state values")
@@ -68,23 +70,21 @@ class StateVector:
         return f"StateVector({self.values.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class GainVector:
+class GainVector(Frozen):
     """Feedback gains gains[i] = C(n, i) * lam^(n-i) pairing with the i-th
     error derivative, so the error characteristic polynomial is (p + lam)^n.
 
     filter_weights holds the combined-error weights C(n-1, i) * lam^(n-1-i)
     for the same lam. Both are computed once here, from lam and the order."""
 
-    lam: float
-    order: int
-    gains: np.ndarray = field(init=False)
-    filter_weights: np.ndarray = field(init=False, repr=False)
+    def __init__(self, lam: float, order: int):
+        vars(self).update(lam=lam, order=order)
+        self.__post_init__()
 
     def __post_init__(self):
         n, lam = self.order, self.lam
-        if n < 1:
-            raise ValueError("gain order must be >= 1")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("gain order must be an integer >= 1")
         if not (lam > 0.0):
             raise ValueError("lambda: must be > 0")
         try:
@@ -110,9 +110,12 @@ def hurwitz_check(coefficients) -> bool:
     """True iff every root of the real polynomial with these coefficients, by
     descending power, has strictly negative real part.
 
-    Routh tabulation on the coefficient rows, in exact rational arithmetic:
-    a float is a dyadic rational, so the answer is the one for the stored
-    coefficients, at any order. A first-column entry that is not positive,
+    Routh tabulation in exact integer arithmetic: each coefficient, taken as
+    a float, is a dyadic rational, so one power of two scales them all to
+    integers, and the answer is the one for the stored coefficients, at any
+    order. Each row is formed fraction-free, scaled by the positive pivot,
+    then divided by its gcd; scaling a row by a positive number changes no
+    sign in the first column. A first-column entry that is not positive,
     zero included, means marginal or unstable and is reported as not
     Hurwitz.
     """
@@ -123,18 +126,23 @@ def hurwitz_check(coefficients) -> bool:
         raise ValueError("polynomial coefficients must all be finite")
     if not coefficients[0] > 0.0:
         raise ValueError("polynomial leading coefficient must be > 0")
-    coeffs = [Fraction(a) for a in coefficients]
+    ratios = [float(a).as_integer_ratio() for a in coefficients]
+    scale = max(den for _, den in ratios)
+    coeffs = [num * (scale // den) for num, den in ratios]
     row_hi = coeffs[0::2]
     row_lo = coeffs[1::2]
     width = len(row_hi)
-    row_lo += [Fraction(0)] * (width - len(row_lo))
+    row_lo += [0] * (width - len(row_lo))
 
     for _ in range(deg):
         pivot = row_lo[0]
         if pivot <= 0:
             return False
-        nxt = [row_hi[j + 1] - row_hi[0] * row_lo[j + 1] / pivot for j in range(width - 1)]
-        nxt.append(Fraction(0))
+        nxt = [pivot * row_hi[j + 1] - row_hi[0] * row_lo[j + 1] for j in range(width - 1)]
+        nxt.append(0)
+        divisor = math.gcd(*nxt)
+        if divisor > 1:
+            nxt = [v // divisor for v in nxt]
         row_hi, row_lo = row_lo, nxt
     return True
 

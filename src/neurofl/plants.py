@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ControllabilityFault
+from .values import Frozen
 
 __all__ = [
     "PlantModel",
@@ -155,8 +156,7 @@ def vanderpol_plant(mu: float = 1.0, gain: float = 1.0) -> PlantModel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DisturbanceSpec:
+class DisturbanceSpec(Frozen):
     """Bounded additive disturbance: |d(t)| <= bound for every t.
 
     Band-limited noise is a seeded uniform drive put through a first-order
@@ -165,15 +165,30 @@ class DisturbanceSpec:
     bit-reproducible signal.
     """
 
-    kind: str
-    bound: float
-    offset: float = 0.0
-    amplitude: float = 0.0
-    frequency_hz: float = 0.0
-    phase: float = 0.0
-    cutoff_hz: float = 0.0
-    seed: int = 0
-    sample_dt: float = 1e-3
+    def __init__(
+        self,
+        kind: str,
+        bound: float,
+        offset: float = 0.0,
+        amplitude: float = 0.0,
+        frequency_hz: float = 0.0,
+        phase: float = 0.0,
+        cutoff_hz: float = 0.0,
+        seed: int = 0,
+        sample_dt: float = 1e-3,
+    ):
+        vars(self).update(
+            kind=kind,
+            bound=bound,
+            offset=offset,
+            amplitude=amplitude,
+            frequency_hz=frequency_hz,
+            phase=phase,
+            cutoff_hz=cutoff_hz,
+            seed=seed,
+            sample_dt=sample_dt,
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_BUILDERS:

@@ -6,7 +6,6 @@ trajectory metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .plants import DisturbanceSpec, PlantModel, disturbance_sampler
 # unused here, but bench/child.py traces it at this call site (ROADMAP item 9)
 from .plants import disturbance_sample  # noqa: F401
 from .rbf import _check_leakage_step
+from .values import Frozen, Record, fields_repr
 
 __all__ = [
     "ReferenceSpec",
@@ -37,21 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceSpec:
+class ReferenceSpec(Frozen):
     """Desired trajectory with exact derivatives of every order.
 
     Sinusoidal components are (amplitude, omega, phase) triples with omega > 0
     in rad/s; the k-th derivative of A sin(w t + p) is A w^k sin(w t + p + k pi/2).
     The coefficients A w^k and shifts k pi/2 up to k = order are computed
-    once, at construction.
+    once, at construction, into _terms.
     """
 
-    kind: str
-    order: int
-    level: float = 0.0
-    components: tuple = ()
-    _terms: tuple = field(init=False, repr=False)
+    def __init__(self, kind: str, order: int, level: float = 0.0, components: tuple = ()):
+        vars(self).update(kind=kind, order=order, level=level, components=components)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in REFERENCE_BUILDERS:
@@ -164,25 +161,42 @@ def rk4_step(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return np.array(_rk4(deriv_list, np.asarray(y, dtype=float).tolist(), t, dt))
 
 
-@dataclass(eq=False)
 class Trajectory:
     """Uniform-grid record of a closed-loop run. On a fault the arrays hold
     the partial run and terminal_event names the fault. A run equals only
     itself: compare the arrays to compare two runs."""
 
-    t: np.ndarray
-    x: np.ndarray
-    x_d: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    d_hat: np.ndarray
-    d_true: np.ndarray
-    w_norm: np.ndarray
-    event: list
-    order: int
-    dt_ctrl: float
-    terminal_event: str | None = None
-    weights: np.ndarray | None = None
+    def __init__(
+        self,
+        t: np.ndarray,
+        x: np.ndarray,
+        x_d: np.ndarray,
+        u: np.ndarray,
+        s: np.ndarray,
+        d_hat: np.ndarray,
+        d_true: np.ndarray,
+        w_norm: np.ndarray,
+        event: list,
+        order: int,
+        dt_ctrl: float,
+        terminal_event: str | None = None,
+        weights: np.ndarray | None = None,
+    ):
+        self.t = t
+        self.x = x
+        self.x_d = x_d
+        self.u = u
+        self.s = s
+        self.d_hat = d_hat
+        self.d_true = d_true
+        self.w_norm = w_norm
+        self.event = event
+        self.order = order
+        self.dt_ctrl = dt_ctrl
+        self.terminal_event = terminal_event
+        self.weights = weights
+
+    __repr__ = fields_repr
 
     def __len__(self):
         return self.t.size
@@ -194,13 +208,13 @@ class Trajectory:
         return None if self.terminal_event is None else self.t[-1].item()
 
 
-@dataclass(frozen=True)
-class Metrics:
-    rms_error: float
-    iae: float
-    steady_state_error: float
-    max_abs_u: float
-    bounded: bool
+class Metrics(Record):
+    """Scalar tracking metrics of one trajectory (see compute_metrics)."""
+
+    def __init__(self, rms_error: float, iae: float, steady_state_error: float, max_abs_u: float, bounded: bool):
+        vars(self).update(
+            rms_error=rms_error, iae=iae, steady_state_error=steady_state_error, max_abs_u=max_abs_u, bounded=bounded
+        )
 
 
 def _plant_deriv(plant: PlantModel, u: float, d):

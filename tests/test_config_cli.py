@@ -812,7 +812,8 @@ class TestAssembledOnce:
         runs = []
         for i, c in enumerate((cfg, *copies)):
             assert c == cfg
-            write_trajectory_csv(_run_setup(build_experiment(c)), tmp_path / f"{i}.csv")
+            setup = build_experiment(c)
+            write_trajectory_csv(_run_setup(setup, setup.ctrl), tmp_path / f"{i}.csv")
             runs.append((tmp_path / f"{i}.csv").read_bytes())
         assert runs[1] == runs[0] and runs[2] == runs[0]
 

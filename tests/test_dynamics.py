@@ -1,10 +1,11 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurofl.dynamics import (
@@ -48,8 +49,10 @@ class TestBinomialCoefficient:
                 assert gains.gains[i] == gains.filter_weights[i - 1] + gains.filter_weights[i]
 
     def test_domain_errors(self):
-        for order in (0, -1):
-            with pytest.raises(ValueError, match="gain order must be >= 1"):
+        # a bool is no order (True built an order-1 vector whose order was
+        # True), nor is a float (2.0 raised a bare TypeError from math.comb)
+        for order in (0, -1, True, False, 2.0, 1.5, "2", None):
+            with pytest.raises(ValueError, match=r"^gain order must be an integer >= 1$"):
                 GainVector(1.0, order)
 
     def test_guard_boundary_is_exact(self):
@@ -139,6 +142,74 @@ class TestBinomialGains:
         with pytest.raises(ValueError, match=r"^lambda: .* not Hurwitz$"):
             GainVector(lam=1e-163, order=2)
         assert GainVector(lam=1e-150, order=2).gains[0] > 0.0
+
+
+def fraction_routh(coefficients) -> bool:
+    """Oracle: the Routh tabulation on Fractions, exact like hurwitz_check,
+    dividing by each pivot instead of scaling the rows to integers."""
+    coeffs = [Fraction(a) for a in coefficients]
+    row_hi, row_lo = coeffs[0::2], coeffs[1::2]
+    width = len(row_hi)
+    row_lo += [Fraction(0)] * (width - len(row_lo))
+    for _ in range(len(coeffs) - 1):
+        pivot = row_lo[0]
+        if pivot <= 0:
+            return False
+        nxt = [row_hi[j + 1] - row_hi[0] * row_lo[j + 1] / pivot for j in range(width - 1)] + [Fraction(0)]
+        row_hi, row_lo = row_lo, nxt
+    return True
+
+
+def gain_polynomial(lam, n):
+    """(p + lam)^n with each coefficient rounded as GainVector rounds its gains."""
+    return [1.0, *(math.comb(n, i) * lam ** (n - i) for i in reversed(range(n)))]
+
+
+# any finite float, subnormals and both signed zeros included, and small
+# integers, which make zero pivots likely
+routh_coefficients = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3).map(float),
+)
+
+
+class TestHurwitzCheckAgainstFractions:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.lists(routh_coefficients, min_size=1, max_size=12),
+    )
+    def test_agrees_on_any_float_coefficients(self, lead, rest):
+        coefficients = [lead, *rest]
+        assert hurwitz_check(coefficients) is fraction_routh(coefficients)
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 32, 63, 78, 100, 111, 112])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_agrees_on_the_gain_polynomials_up_to_order_112(self, lam, n):
+        # at lambda 1, 112 is the smallest order above 100 whose rounded
+        # gains are not Hurwitz
+        coefficients = gain_polynomial(lam, n)
+        assert hurwitz_check(coefficients) is fraction_routh(coefficients)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            [1.0, 0.0, 1.0],  # the first pivot is zero
+            [1.0, 1.0, 1.0, 1.0],  # a later pivot is zero: roots +/-i
+            [1.0, 2.0, 2.0, 4.0, 1.0],  # a later pivot is zero, the next row not
+            [1.0, -1.0, 1.0],  # the first pivot is negative
+            [1.0, 1.0, 1.0, 2.0],  # a later pivot is negative
+            [1.0, 0.0, 0.0, 0.0],  # every row below the first is zero
+            [1.0, 2.0, 3.0, 4.0, 5.0],  # positive coefficients, a negative pivot
+            [5e-324, 1e308, 5e-324, 1e308],  # the widest scale a float allows
+        ],
+    )
+    def test_agrees_at_a_zero_or_negative_pivot(self, coefficients):
+        assert hurwitz_check(coefficients) is fraction_routh(coefficients) is False
+
+    def test_agrees_on_stable_polynomials_at_the_ends_of_the_float_range(self):
+        for coefficients in ([5e-324, 1.0, 5e-324], [1.0, 1e308, 1e-300, 1e-310], [1e308, 1e308, 5e-324]):
+            assert hurwitz_check(coefficients) is fraction_routh(coefficients) is True
 
 
 class TestHurwitzCheck:

@@ -106,10 +106,31 @@ def test_each_module_imports_in_a_fresh_interpreter(module):
 
 
 def test_the_library_import_leaves_argparse_to_the_cli():
+    # nor does it, or building a config (whose GainVector runs the Routh
+    # check on integers), load fractions or decimal
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import neurofl, neurofl.cli; "
-        "assert 'argparse' not in sys.modules, 'argparse'; sys.exit(neurofl.cli.main(['--version']))"
+        "assert 'argparse' not in sys.modules, 'argparse'; "
+        "neurofl.config.config_from_dict({'plant': {'name': 'pendulum'}}); "
+        "loaded = {'fractions', 'decimal'} & set(sys.modules); assert not loaded, loaded; "
+        "sys.exit(neurofl.cli.main(['--version']))"
     )
     result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("neurofl ")
+
+
+def test_only_three_classes_are_dataclasses():
+    # a dataclass compiles its generated methods at import; the three kept
+    # are those whose dataclass API callers use (dataclasses.replace on a
+    # plant or a network, the config schema on ExperimentConfig's fields)
+    import dataclasses
+    import importlib
+
+    found = {
+        f"{obj.__module__}.{obj.__qualname__}"
+        for module in MODULES
+        for obj in vars(importlib.import_module(f"neurofl.{module}")).values()
+        if isinstance(obj, type) and obj.__module__.startswith("neurofl.") and dataclasses.is_dataclass(obj)
+    }
+    assert found == {"neurofl.plants.PlantModel", "neurofl.rbf.RbfNetwork", "neurofl.config.ExperimentConfig"}
