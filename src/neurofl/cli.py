@@ -94,37 +94,29 @@ def resolve_out_dir(cli_value: str | None, cfg: ExperimentConfig) -> Path:
     return Path(".")
 
 
-def _run_setup(setup, ctrl):
-    """Run the setup under ctrl, its own controller or one derived from it."""
-    return run_closed_loop(
-        truth=setup.truth,
-        nominal=setup.nominal,
-        ctrl=ctrl,
-        ref=setup.ref,
-        dist=setup.dist,
-        lam=setup.lam,
-        T=setup.T,
-        dt_ctrl=setup.dt_ctrl,
-        substeps=setup.substeps,
-        x0=setup.x0,
-    )
+def _write_outputs(out_dir: Path, trajectories: dict, summary_name: str, summary: dict) -> int:
+    """Write each trajectory to out_dir/<name>.csv and the summary to
+    out_dir/summary_name: EXIT_OK, or EXIT_IO with the error on stderr."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, traj in trajectories.items():
+            write_trajectory_csv(traj, out_dir / f"{name}.csv")
+        (out_dir / summary_name).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run one experiment; write trajectory.csv and metrics.json."""
     setup = build_experiment(cfg)
-    traj = _run_setup(setup, setup.ctrl)
-    metrics = compute_metrics(traj)
-    summary = _metrics_dict(metrics, traj)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(traj, out_dir / "trajectory.csv")
-        (out_dir / "metrics.json").write_text(
-            json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # the setup's fields are run_closed_loop's parameters, in order
+    traj = run_closed_loop(**vars(setup))
+    summary = _metrics_dict(compute_metrics(traj), traj)
+    status = _write_outputs(out_dir, {"trajectory": traj}, "metrics.json", summary)
+    if status != EXIT_OK:
+        return status
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(traj)} records)")
     _print_metrics_table({cfg.mode: summary})
     if traj.terminal_event is not None:
@@ -146,37 +138,23 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     setup = build_experiment(cfg if cfg.mode == COMPENSATED else replace(cfg, mode=COMPENSATED))
     ctrl = setup.ctrl
     halves = {BASELINE: ControllerState(ctrl.gains, None, ctrl.u_limit), COMPENSATED: ctrl}
-    results = {}
+    trajs, metrics = {}, {}
     for mode, half in halves.items():
-        traj = _run_setup(setup, half)
-        results[mode] = (traj, compute_metrics(traj))
+        trajs[mode] = run_closed_loop(**dict(vars(setup), ctrl=half))
+        metrics[mode] = compute_metrics(trajs[mode])
 
-    summaries = {mode: _metrics_dict(m, t) for mode, (t, m) in results.items()}
-    ratio = sse_ratio(
-        results[BASELINE][1].steady_state_error,
-        results[COMPENSATED][1].steady_state_error,
-    )
-    combined = {
-        "baseline": summaries[BASELINE],
-        "compensated": summaries[COMPENSATED],
-        "sse_ratio": _json_value(ratio),
-    }
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for mode, (traj, _) in results.items():
-            write_trajectory_csv(traj, out_dir / f"{mode}.csv")
-        (out_dir / "compare_metrics.json").write_text(
-            json.dumps(combined, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    summaries = {mode: _metrics_dict(metrics[mode], trajs[mode]) for mode in halves}
+    ratio = sse_ratio(metrics[BASELINE].steady_state_error, metrics[COMPENSATED].steady_state_error)
+    combined = {**summaries, "sse_ratio": _json_value(ratio)}
+    status = _write_outputs(out_dir, trajs, "compare_metrics.json", combined)
+    if status != EXIT_OK:
+        return status
     _print_metrics_table(summaries)
     print(f"steady-state error ratio (baseline/compensated): {ratio:.6g}")
-    faulted = [m for m, (t, _) in results.items() if t.terminal_event is not None]
+    faulted = [mode for mode, traj in trajs.items() if traj.terminal_event is not None]
     if faulted:
         for mode in faulted:
-            print(f"{mode} run ended early: {_ending(results[mode][0])}", file=sys.stderr)
+            print(f"{mode} run ended early: {_ending(trajs[mode])}", file=sys.stderr)
         return EXIT_FAULT
     return EXIT_OK
 
@@ -191,13 +169,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def directory(value: str) -> str:
+        # resolve_out_dir would pass over "" to the config's directory
+        if not value:
+            raise argparse.ArgumentTypeError("must be a non-empty path")
+        return value
+
     for name, doc in (
         ("simulate", "run one experiment and write trajectory.csv + metrics.json"),
         ("compare", "run baseline and compensated on the same scenario and write both CSVs"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--out-dir", default=None, help="output directory (default: $NEUROFL_OUT_DIR or .)")
+        p.add_argument(
+            "--out-dir", type=directory, help="output directory (default: output.dir, $NEUROFL_OUT_DIR or .)"
+        )
     args = parser.parse_args(argv)
 
     try:

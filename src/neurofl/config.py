@@ -62,7 +62,9 @@ PLANT_BUILDERS = {
 
 
 class ExperimentSetup(Record):
-    """Simulation objects assembled from a config, ready for run_closed_loop."""
+    """Simulation objects assembled from a config. Its fields are
+    run_closed_loop's parameters, in order, so run_closed_loop(**vars(setup))
+    runs it."""
 
     def __init__(
         self,
@@ -183,6 +185,13 @@ def _integer(val, where: str) -> int:
 def _string(val, where: str) -> str:
     if not isinstance(val, str):
         raise ConfigError(f"{where}: must be a string")
+    return val
+
+
+def _directory(val, where: str) -> str:
+    """A non-empty string: "" names no directory."""
+    if _string(val, where) == "":
+        raise ConfigError(f"{where}: must be a non-empty string")
     return val
 
 
@@ -381,7 +390,7 @@ class ExperimentConfig:
     dt_ctrl: float = _field("simulation.dt_ctrl", _number, 1e-3)
     substeps: int = _field("simulation.substeps", _integer, 1)
     x0: tuple | None = _field("simulation.x0", _parse_x0)
-    out_dir: str | None = _field("output.dir", _optional(_string))
+    out_dir: str | None = _field("output.dir", _optional(_directory))
     # the objects assembled from the fields above; build_experiment returns them
     _setup: ExperimentSetup = field(init=False, compare=False, repr=False)
 

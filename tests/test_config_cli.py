@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import os
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from neurofl import config
-from neurofl.cli import _json_value, _metrics_dict, _run_setup, csv_header, main, sse_ratio, write_trajectory_csv
-from neurofl.config import ExperimentConfig, build_experiment, config_from_dict, load_config
+from neurofl.cli import _json_value, _metrics_dict, csv_header, main, resolve_out_dir, sse_ratio, write_trajectory_csv
+from neurofl.config import ExperimentConfig, ExperimentSetup, build_experiment, config_from_dict, load_config
 from neurofl.errors import ConfigError
 from neurofl.rbf import RbfNetwork
-from neurofl.simulation import Metrics, Trajectory
+from neurofl.simulation import Metrics, Trajectory, run_closed_loop
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,6 +182,8 @@ SHAPE_RULES = [
     ("simulation.x0[1]", "x0", [0.0, "0"]),
     ("name", "name", 3),
     ("output.dir", "out_dir", ["out"]),
+    # "" would leave the directory to NEUROFL_OUT_DIR or the working directory
+    ("output.dir", "out_dir", ""),
     ("plant.params", "plant_params", [1.0]),
     ("disturbance", "disturbance", "none"),
     ("reference", "reference", 0.0),
@@ -328,6 +331,21 @@ def test_equal_configs_hash_alike():
 def test_field_keys_are_the_declared_keys():
     declared = {f.name: tuple(f.metadata["key"].split(".")) for f in fields(ExperimentConfig) if f.init}
     assert declared == FIELD_KEYS
+
+
+def test_setup_fields_are_the_run_parameters():
+    # the CLI and the benchmark run a setup as run_closed_loop(**vars(setup))
+    run = list(inspect.signature(run_closed_loop).parameters)
+    assert run[-1] == "record_weights"
+    assert list(inspect.signature(ExperimentSetup).parameters) == run[:-1]
+    setup = build_experiment(config_from_dict(minimal_config(controller={"mode": "compensated"})))
+    assert list(vars(setup)) == run[:-1]
+
+
+def test_config_root_must_be_an_object():
+    for raw in ([minimal_config()], "pendulum", None, 1.0):
+        with pytest.raises(ConfigError, match=r"^config root: must be an object$"):
+            config_from_dict(raw)
 
 
 def test_library_and_json_routes_share_the_defaults():
@@ -813,7 +831,7 @@ class TestAssembledOnce:
         for i, c in enumerate((cfg, *copies)):
             assert c == cfg
             setup = build_experiment(c)
-            write_trajectory_csv(_run_setup(setup, setup.ctrl), tmp_path / f"{i}.csv")
+            write_trajectory_csv(run_closed_loop(**vars(setup)), tmp_path / f"{i}.csv")
             runs.append((tmp_path / f"{i}.csv").read_bytes())
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -983,11 +1001,16 @@ class TestCmdSimulate:
         assert "disturbance.amplitude: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
-    def test_io_error_exit_code(self, tmp_path):
+    def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory", encoding="utf-8")
         path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}))
-        assert main(["simulate", "--config", str(path), "--out-dir", str(blocker)]) == 4
+        for command, out_dir in (("simulate", blocker), ("compare", blocker), ("compare", blocker / "out")):
+            assert main([command, "--config", str(path), "--out-dir", str(out_dir)]) == 4
+            captured = capsys.readouterr()
+            # nothing is reported as written, and no metrics table is printed
+            assert captured.out == "" and captured.err.startswith("i/o error: ")
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
 
     def test_golden_run_matches_frozen_file(self, tmp_path):
         assert (
@@ -1010,6 +1033,43 @@ class TestCmdSimulate:
         path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}))
         assert main(["simulate", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "trajectory.csv").exists()
+
+    def test_out_dir_from_config_before_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NEUROFL_OUT_DIR", str(tmp_path / "envout"))
+        cfg = config_from_dict(minimal_config(output={"dir": str(tmp_path / "cfgout")}))
+        assert resolve_out_dir(None, cfg) == tmp_path / "cfgout"
+        assert resolve_out_dir(str(tmp_path / "flag"), cfg) == tmp_path / "flag"
+        path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}, output={"dir": "cfgout"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert (tmp_path / "cfgout" / "trajectory.csv").exists() and not (tmp_path / "envout").exists()
+
+    def test_out_dir_falls_back_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NEUROFL_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert resolve_out_dir(None, config_from_dict(minimal_config())) == Path(".")
+        path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}))
+        assert main(["compare", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "baseline.csv", "compare_metrics.json", "compensated.csv", "config.json",
+        ]
+
+    def test_empty_out_dir_is_rejected(self, tmp_path, monkeypatch, capsys):
+        # were "" accepted, resolve_out_dir would pass over it to NEUROFL_OUT_DIR
+        monkeypatch.setenv("NEUROFL_OUT_DIR", str(tmp_path / "envout"))
+        path = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}, output={"dir": ""}))
+        with pytest.raises(ConfigError, match=r"^output.dir: must be a non-empty string$"):
+            load_config(path)
+        for command in ("simulate", "compare"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == "config error: output.dir: must be a non-empty string\n"
+        # an empty --out-dir is a usage error, as argparse reports one
+        good = write_config(tmp_path, minimal_config(simulation={"T": 0.1, "dt_ctrl": 0.01}), "good.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(good), "--out-dir", ""])
+        assert exc.value.code == 2
+        assert "argument --out-dir: must be a non-empty path" in capsys.readouterr().err
+        assert not (tmp_path / "envout").exists()
 
 
 class TestStrictMetricsJson:

@@ -251,8 +251,12 @@ class TestControlStep:
 
     def test_state_order_mismatch_rejected(self):
         plant = pendulum_plant()
-        with pytest.raises(ValueError, match="order mismatch"):
+        with pytest.raises(ValueError, match=r"^state order mismatch: 2 vs 1$"):
             control_step(baseline_ctrl(), plant, StateVector([0.0, 0.0]), StateVector([0.0]), 0.0, 0.0, 1e-3)
+        # x and x_d agree with each other, not with the order-2 gains
+        x = StateVector([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^state order mismatch: 3 vs the gains' 2$"):
+            control_step(baseline_ctrl(), plant, x, x, 0.0, 0.0, 1e-3)
 
     def test_fault_carries_the_state_passed_in(self):
         weak = PlantModel(

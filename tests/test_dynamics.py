@@ -311,6 +311,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([1.0, np.inf])
 
+    @pytest.mark.parametrize("values", [[], np.zeros(0), [[1.0, 2.0]], np.zeros((2, 2))], ids=["empty-list", "empty-array", "row", "matrix"])
+    def test_rejects_an_empty_or_2d_array(self, values):
+        with pytest.raises(ValueError, match=r"^state values must be a non-empty 1-D array of reals$"):
+            StateVector(values)
+
     def test_values_are_read_only(self):
         sv = StateVector([1.0, 2.0])
         with pytest.raises(ValueError):

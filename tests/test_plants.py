@@ -94,6 +94,22 @@ class TestEvalDynamics:
             assert at1 - at0 == pytest.approx(plant.b_eval(x, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"order": 0}, "plant order must be >= 1"),
+        ({"order": -2}, "plant order must be >= 1"),
+        ({"b_min": 0.0}, "b_min must be > 0"),
+        ({"b_min": -0.5}, "b_min must be > 0"),
+        ({"b_min": math.nan}, "b_min must be > 0"),
+    ],
+)
+def test_plant_model_rejects_its_order_and_guard(changes, message):
+    fields = {"order": 2, "f_eval": lambda x, t: 0.0, "b_eval": lambda x, t: 1.0, "b_min": 0.5, "name": "p"}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PlantModel(**{**fields, **changes})
+
+
 class TestPendulumPlant:
     def test_upright_damping_only(self):
         p = pendulum_plant(m=1.0, l=1.0, c=0.3, g=9.81)
@@ -455,7 +471,7 @@ class TestNoiseDrive:
             "from neurofl.config import build_experiment, load_config\n"
             "from neurofl.simulation import run_closed_loop\n"
             "s = build_experiment(load_config(sys.argv[1]))\n"
-            "traj = run_closed_loop(s.truth, s.nominal, s.ctrl, s.ref, s.dist, s.lam, s.T, s.dt_ctrl, s.substeps, s.x0)\n"
+            "traj = run_closed_loop(**vars(s))\n"
             "assert len(set(traj.d_true)) > 10\n",
         ],
         ids=["cli-simulate", "library-run"],

@@ -385,6 +385,21 @@ class TestNetworkInvariants:
                 learning_rate=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "centers, weights, message",
+        [
+            ([], [], "centers must be a non-empty 1-D array"),
+            ([[0.0, 1.0]], [[0.0, 0.0]], "centers must be a non-empty 1-D array"),
+            ([0.0, math.inf], [0.0, 0.0], "centers and weights must be finite"),
+            ([math.nan, 1.0], [0.0, 0.0], "centers and weights must be finite"),
+            ([0.0, 1.0], [0.0, math.nan], "centers and weights must be finite"),
+            ([0.0, 1.0], [-math.inf, 0.0], "centers and weights must be finite"),
+        ],
+    )
+    def test_rejects_bad_centers_and_weights(self, centers, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_net(centers, weights=np.asarray(weights, dtype=float))
+
     def test_rejects_unsorted_centers(self):
         with pytest.raises(ValueError):
             make_net([1.0, -1.0])

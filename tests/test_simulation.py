@@ -1,6 +1,7 @@
 import ast
 import builtins
 import dataclasses
+import gc
 import importlib.util
 import linecache
 import math
@@ -436,10 +437,7 @@ def sweep_grid_setups():
 
 
 def run_setup(setup):
-    return run_closed_loop(
-        setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
-        setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
-    )
+    return run_closed_loop(**vars(setup))
 
 
 def test_a_sweeps_configs_share_their_network_and_gains(monkeypatch):
@@ -634,6 +632,11 @@ class TestReferenceAt:
                 assert xd_n == want_n
 
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown reference kind 'ramp'$"):
+            ReferenceSpec(kind="ramp", order=2)
+
+
 class TestRunClosedLoop:
     def test_a_run_equals_only_itself(self):
         runs = [
@@ -794,10 +797,7 @@ class TestRunClosedLoop:
             }
         )
         setup = build_experiment(cfg)
-        traj = run_closed_loop(
-            setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
-            setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
-        )
+        traj = run_closed_loop(**vars(setup))
         assert traj.terminal_event == "divergence"
         assert traj.event == ["divergence"]
         assert np.isnan(traj.u[0])
@@ -814,10 +814,7 @@ class TestRunClosedLoop:
         )
         setup = build_experiment(cfg)
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-            traj = run_closed_loop(
-                setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
-                setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0,
-            )
+            traj = run_closed_loop(**vars(setup))
         assert traj.terminal_event == "divergence"
         assert traj.event == ["divergence"]
         assert np.isnan(traj.u[0]) and np.isnan(traj.s[0])
@@ -835,10 +832,7 @@ class TestRunClosedLoop:
                 }
             )
             setup = build_experiment(cfg)
-            traj = run_closed_loop(
-                setup.truth, setup.nominal, setup.ctrl, setup.ref, setup.dist, setup.lam,
-                setup.T, setup.dt_ctrl, setup.substeps, x0=setup.x0, record_weights=True,
-            )
+            traj = run_closed_loop(**vars(setup), record_weights=True)
         assert traj.terminal_event == "divergence"
         assert traj.event == ["divergence"]
         assert np.isnan(traj.u[0]) and np.isnan(traj.s[0]) and np.isnan(traj.w_norm[0])
@@ -854,6 +848,10 @@ class TestRunClosedLoop:
         args = (plant, plant, ctrl, sinusoid_reference(0.5, 1.0, 0.0, 2), sinusoid_disturbance(0.8, 0.5))
         weights = ctrl.network.weights.copy()
         built = []
+        # a controller an earlier test left in a reference cycle (a caught
+        # traceback holds its frame) is freed now, not by a collection that
+        # happens to fall inside the runs below
+        gc.collect()
 
         def freed(self):
             built.append(f"freed {type(self).__name__}")
@@ -1041,6 +1039,26 @@ def test_horizon_rules_name_their_key(T, dt_ctrl, substeps, key):
     args = (plant, plant, baseline_ctrl(lam=2.0), constant_reference(0.0, 2), no_disturbance(), 2.0)
     with pytest.raises(ValueError, match=rf"^{key}: "):
         run_closed_loop(*args, T, dt_ctrl, substeps)
+
+
+@pytest.mark.parametrize(
+    "truth, nominal, ref, gains, message",
+    [
+        (3, 2, 2, 2, "truth and nominal plant orders differ"),
+        (2, 3, 2, 2, "truth and nominal plant orders differ"),
+        (2, 2, 3, 2, "reference order must equal plant order"),
+        (2, 2, 2, 3, "controller gain order must equal plant order"),
+        (3, 3, 3, 2, "controller gain order must equal plant order"),
+    ],
+)
+def test_order_rules_give_their_message(truth, nominal, ref, gains, message):
+    def plant(order):
+        return PlantModel(order=order, f_eval=lambda x, t: 0.0, b_eval=lambda x, t: 1.0, b_min=0.5, name="p")
+
+    ctrl = ControllerState(gains=GainVector(2.0, gains))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_closed_loop(plant(truth), plant(nominal), ctrl, constant_reference(0.0, ref), no_disturbance(), 2.0,
+                        0.1, 1e-2, 1)
 
 
 def test_unforced_pendulum_energy_drift():
